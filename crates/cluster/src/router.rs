@@ -48,11 +48,11 @@ use parking_lot::Mutex;
 use serde_json::Value;
 
 use gmm_api::Termination;
-use gmm_service::events::{Frame, Outbox, Popped};
+use gmm_service::events::{writer_loop, Outbox};
 use gmm_service::hash::{instance_key, InstanceKey};
 use gmm_service::protocol::{
-    AttachSnapshot, JobEvent, ProtoVersions, Request, Response, ServiceStats, SubmitReceipt,
-    SubmitSpec, CAPABILITIES, PROTO_VERSION,
+    render_response, AttachSnapshot, JobEvent, ProtoVersions, Request, Response, ServiceStats,
+    SubmitReceipt, SubmitSpec, CAPABILITIES, PROTO_VERSION,
 };
 use gmm_service::queue::JobState;
 
@@ -455,8 +455,15 @@ fn on_backend_event(conn: &Arc<Conn>, addr: &str, ev: JobEvent) {
             } => match st.by_backend.get(&(addr.to_string(), *job)).copied() {
                 Some(rid) => match st.jobs.get_mut(&rid) {
                     // Ignore frames from a backend this job was already
-                    // moved away from.
-                    Some(r) if r.backend.as_deref() == Some(addr) => {
+                    // moved away from, and stale ones: a `queued` frame
+                    // parked before its receipt can be replayed after the
+                    // live terminal frame, and must not move the record
+                    // (which later watch snapshots read) back. An equal
+                    // rank passes, so a terminal frame still fills in the
+                    // termination a terminal receipt lacks.
+                    Some(r)
+                        if r.backend.as_deref() == Some(addr) && state.rank() >= r.state.rank() =>
+                    {
                         r.state = *state;
                         r.termination = *termination;
                         Some(JobEvent::State {
@@ -1443,39 +1450,7 @@ fn demote(resp: Response, v2: bool) -> Response {
 }
 
 fn push_response(outbox: &Outbox, response: &Response) {
-    let text = serde_json::to_string(response).unwrap_or_else(|_| {
-        r#"{"ok":false,"message":"internal: response failed to render"}"#.to_string()
-    });
-    outbox.push_response(text);
-}
-
-/// The writer half of one client connection (same discipline as the
-/// daemon's): drain the outbox until it closes or the peer goes away.
-fn writer_loop(mut stream: TcpStream, outbox: &Outbox) {
-    loop {
-        match outbox.pop(None) {
-            Popped::Frame(frame) => {
-                let mut text = match frame {
-                    Frame::Response(line) => line,
-                    Frame::Event(ev) => serde_json::to_string(&ev).unwrap_or_else(|_| {
-                        r#"{"event":"error","message":"internal: event failed to render"}"#
-                            .to_string()
-                    }),
-                };
-                text.push('\n');
-                if stream
-                    .write_all(text.as_bytes())
-                    .and_then(|_| stream.flush())
-                    .is_err()
-                {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-            }
-            Popped::Closed => return,
-            Popped::TimedOut => unreachable!("writer pops without a deadline"),
-        }
-    }
+    outbox.push_response(render_response(response));
 }
 
 fn serve_connection(stream: TcpStream, local: SocketAddr, shared: Arc<RouterShared>) {
@@ -1935,6 +1910,86 @@ mod tests {
         // Every job ended up solved by the survivor.
         assert_eq!(real.queue().stats().completed, 6);
         stub.join().unwrap();
+        drop(session);
+        router.request_stop();
+    }
+
+    /// A scripted backend whose one job's `queued` frame reaches the
+    /// router before the submit receipt, which already reports the job
+    /// `done` (a cache hit). The router parks the frame until the
+    /// receipt lands and replays it after the record says `done`.
+    fn late_queued_stub() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        thread::spawn(move || {
+            let Ok((stream, _)) = listener.accept() else {
+                return;
+            };
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            loop {
+                line.clear();
+                match reader.read_line(&mut line) {
+                    Ok(0) | Err(_) => return,
+                    Ok(_) => {}
+                }
+                let mut frames = Vec::new();
+                match serde_json::from_str::<Request>(&line).unwrap() {
+                    Request::Hello { .. } => frames.push(render_response(&Response::Welcome {
+                        proto: 2,
+                        capabilities: vec![],
+                    })),
+                    Request::SubmitBatch { jobs, .. } => {
+                        let s = &jobs[0];
+                        frames.push(r#"{"event":"state","job":1000,"state":"queued"}"#.into());
+                        frames.push(render_response(&Response::BatchSubmitted {
+                            jobs: vec![SubmitReceipt {
+                                job: 1000,
+                                state: JobState::Done,
+                                cached: true,
+                                key: instance_key(&s.design, &s.board, &s.config).to_hex(),
+                            }],
+                        }));
+                    }
+                    Request::Result { job } => {
+                        frames.push(render_response(&Response::ResultReady {
+                            job,
+                            state: JobState::Done,
+                            cached: true,
+                            objective: Some(1.0),
+                            solution: Some(Value::Array(vec![])),
+                            error: None,
+                        }))
+                    }
+                    _ => frames.push(render_response(&Response::Error {
+                        message: "unexpected verb".into(),
+                    })),
+                }
+                let text: String = frames.iter().map(|f| format!("{f}\n")).collect();
+                if writer.write_all(text.as_bytes()).is_err() {
+                    return;
+                }
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn replayed_queued_frame_never_rewinds_a_finished_job() {
+        let addr = late_queued_stub();
+        let router =
+            Router::start("127.0.0.1:0", RouterOptions::new(vec![addr.to_string()])).unwrap();
+        let mut session = Session::connect(router.local_addr()).unwrap();
+        session.submit_batch(vec![spec(1)]).unwrap();
+        // Before the rank gate, the replayed `queued` frame rewound the
+        // router's record, the watch snapshot handed `queued` to the
+        // client, and no terminal frame ever followed.
+        let outcomes = session
+            .wait_all(Duration::from_secs(10))
+            .expect("the watch must end done");
+        assert_eq!(outcomes.len(), 1);
+        assert_eq!(outcomes[0].state, JobState::Done);
         drop(session);
         router.request_stop();
     }

@@ -246,6 +246,35 @@ fn unexpected(verb: &str, got: &Response) -> ClientError {
     ClientError::Protocol(format!("unexpected response to `{verb}`: {got:?}"))
 }
 
+/// A session's answer to `result` as an outcome; `termination` comes
+/// from the terminal event the session saw, since the `result` frame
+/// carries none.
+fn remote_outcome(
+    answer: Response,
+    termination: Option<Termination>,
+) -> Result<RemoteOutcome, ClientError> {
+    match answer {
+        Response::Error { message } => Err(ClientError::Remote(message)),
+        Response::ResultReady {
+            job,
+            state,
+            cached,
+            objective,
+            solution,
+            error,
+        } => Ok(RemoteOutcome {
+            job,
+            state,
+            cached,
+            objective,
+            solution,
+            error,
+            termination,
+        }),
+        other => Err(unexpected("result", &other)),
+    }
+}
+
 /// Which dialect a [`Session`] is speaking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Proto {
@@ -261,16 +290,37 @@ pub enum Proto {
 /// Incremental line reader over a raw `TcpStream` that survives read
 /// timeouts mid-frame: bytes already received stay buffered, so a
 /// deadline that fires between two halves of a line loses nothing.
+///
+/// Built for pipelined bursts, where one read brings many lines: each
+/// byte is scanned for `\n` once, consumed lines are dropped from the
+/// buffer once per read rather than once per line, and the socket's
+/// read timeout is only re-armed when it must change.
 struct FrameReader {
     stream: TcpStream,
+    /// Received bytes; `buf[start..]` has not been returned yet.
     buf: Vec<u8>,
+    start: usize,
+    /// `buf[start..scanned]` holds no `\n`.
+    scanned: usize,
+    /// The read timeout currently set on the socket.
+    armed: Option<Duration>,
 }
+
+/// How far the socket's read timeout may stray from the time left
+/// before the deadline before [`FrameReader`] re-arms it.
+const TIMEOUT_SLACK: Duration = Duration::from_millis(1);
+
+/// Bytes asked of the socket per read.
+const READ_CHUNK: usize = 16 * 1024;
 
 impl FrameReader {
     fn new(stream: TcpStream) -> FrameReader {
         FrameReader {
             stream,
             buf: Vec::new(),
+            start: 0,
+            scanned: 0,
+            armed: None,
         }
     }
 
@@ -278,13 +328,14 @@ impl FrameReader {
     /// `deadline` passes.
     fn next_line(&mut self, deadline: Option<Instant>) -> Result<String, ClientError> {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop();
-                return String::from_utf8(line)
-                    .map_err(|_| ClientError::Protocol("non-utf8 frame".into()));
+            if let Some(i) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + i;
+                let line = std::str::from_utf8(&self.buf[self.start..end]).map(str::to_owned);
+                self.start = end + 1;
+                self.scanned = self.start;
+                return line.map_err(|_| ClientError::Protocol("non-utf8 frame".into()));
             }
+            self.scanned = self.buf.len();
             let timeout = match deadline {
                 None => None,
                 Some(d) => {
@@ -295,20 +346,40 @@ impl FrameReader {
                     Some(d - now)
                 }
             };
-            self.stream.set_read_timeout(timeout)?;
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+            // A timeout armed earlier is kept while it is within the
+            // slack of the time left: a burst of reads arms it once.
+            let keep = match (self.armed, timeout) {
+                (None, None) => true,
+                (Some(armed), Some(left)) => armed.abs_diff(left) <= TIMEOUT_SLACK,
+                _ => false,
+            };
+            if !keep {
+                self.stream.set_read_timeout(timeout)?;
+                self.armed = timeout;
+            }
+            self.buf.drain(..self.start);
+            self.scanned -= self.start;
+            self.start = 0;
+            let filled = self.buf.len();
+            self.buf.resize(filled + READ_CHUNK, 0);
+            let read = self.stream.read(&mut self.buf[filled..]);
+            self.buf.truncate(filled + read.as_ref().map_or(0, |&n| n));
+            match read {
                 Ok(0) => {
                     return Err(ClientError::Protocol("server closed the connection".into()))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
+                // The armed timeout ran out; `deadline` decides above
+                // whether that was the real one.
                 Err(e)
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    return Err(ClientError::Expired { pending: 0 })
+                    if timeout.is_none() {
+                        return Err(ClientError::Expired { pending: 0 });
+                    }
                 }
                 Err(e) => return Err(ClientError::Io(e)),
             }
@@ -397,6 +468,36 @@ impl RemoteTransport {
     fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.send(request)?;
         self.read_response()
+    }
+
+    /// Pipelined `result` fetch: write the requests for `jobs` ahead of
+    /// their answers — at most [`PIPELINE_DEPTH`] unanswered at once,
+    /// each top-up of the window in one write — and append the answers
+    /// to `answers` in request order, which is the order the server
+    /// writes them in. On an error, `answers` keeps what was read.
+    fn fetch_results(
+        &mut self,
+        jobs: &[u64],
+        answers: &mut Vec<Response>,
+    ) -> Result<(), ClientError> {
+        let mut sent = 0;
+        for read in 0..jobs.len() {
+            if sent < jobs.len() && sent - read <= PIPELINE_DEPTH / 2 {
+                let end = (read + PIPELINE_DEPTH).min(jobs.len());
+                let mut text = String::new();
+                for &job in &jobs[sent..end] {
+                    text.push_str(
+                        &serde_json::to_string(&Request::Result { job })
+                            .expect("in-tree serde_json cannot fail to render"),
+                    );
+                    text.push('\n');
+                }
+                self.writer.write_all(text.as_bytes())?;
+                sent = end;
+            }
+            answers.push(self.read_response()?);
+        }
+        Ok(())
     }
 
     /// Next event frame (buffered or from the wire) before `deadline`.
@@ -501,6 +602,11 @@ const OVERLOAD_RETRY_LIMIT: u32 = 5;
 
 /// Overall deadline for [`Session::resume`]'s reconnect backoff.
 const RESUME_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Most `result` requests [`Session::wait_all`] leaves unanswered on one
+/// connection at a time, so a large round never writes unboundedly
+/// ahead of its reads.
+const PIPELINE_DEPTH: usize = 64;
 
 impl Session {
     /// Connect and negotiate protocol v2. A server that rejects the
@@ -1089,19 +1195,42 @@ impl Session {
     /// any that are not yet watched), fetch all results, and drain the
     /// in-flight set. Outcomes come back in submission order with
     /// `termination` filled from terminal events (v2/local).
+    ///
+    /// Over protocol v2 the results cost one round trip, not one per
+    /// job: the `result` requests for every job go out in one write
+    /// (windows of at most 64 for larger rounds), then the N answers are
+    /// read in order. A connection that drops mid-pipeline is re-dialed
+    /// once and only the unanswered requests are re-sent. Local and v1
+    /// sessions fetch one result at a time.
     pub fn wait_all(&mut self, timeout: Duration) -> Result<Vec<RemoteOutcome>, ClientError> {
         self.watch_all()?;
         self.for_each_event(timeout, |_| {})?;
         let jobs = std::mem::take(&mut self.inflight);
         let mut outcomes = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let mut out = self.result(job)?;
-            if out.termination.is_none() {
-                out.termination = self.terminal.get(&job).and_then(|(_, t)| *t);
+        if self.proto() == Proto::V2 {
+            let answers = self.remote_results(&jobs)?;
+            for (&job, answer) in jobs.iter().zip(answers) {
+                let out = remote_outcome(answer, self.terminal.get(&job).and_then(|(_, t)| *t))?;
+                if out.job != job {
+                    return Err(ClientError::Protocol(format!(
+                        "result for job {} answered the request for job {job}",
+                        out.job
+                    )));
+                }
+                outcomes.push(out);
             }
-            self.watched.remove(&job);
-            self.terminal.remove(&job);
-            outcomes.push(out);
+        } else {
+            for &job in &jobs {
+                let mut out = self.result(job)?;
+                if out.termination.is_none() {
+                    out.termination = self.terminal.get(&job).and_then(|(_, t)| *t);
+                }
+                outcomes.push(out);
+            }
+        }
+        for job in &jobs {
+            self.watched.remove(job);
+            self.terminal.remove(job);
         }
         Ok(outcomes)
     }
@@ -1132,48 +1261,35 @@ impl Session {
                     termination: out.termination,
                 })
             }
-            Transport::Remote(_) => match self.remote_roundtrip(&Request::Result { job })? {
-                Response::Error { message } => Err(ClientError::Remote(message)),
-                Response::ResultReady {
-                    job,
-                    state,
-                    cached,
-                    objective,
-                    solution,
-                    error,
-                } => Ok(RemoteOutcome {
-                    job,
-                    state,
-                    cached,
-                    objective,
-                    solution,
-                    error,
-                    termination: self.terminal.get(&job).and_then(|(_, t)| *t),
-                }),
-                other => Err(unexpected("result", &other)),
-            },
+            Transport::Remote(_) => {
+                let answer = self.remote_results(&[job])?.remove(0);
+                remote_outcome(answer, self.terminal.get(&job).and_then(|(_, t)| *t))
+            }
         }
     }
 
-    /// One remote round-trip that survives a single connection drop:
-    /// on a disconnect the session re-dials (capped backoff, short
-    /// deadline), re-attaches its watches, and replays the request once.
-    fn remote_roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let first = {
+    /// The answers to `result` requests for `jobs`, in order, fetched in
+    /// one pipeline ([`RemoteTransport::fetch_results`]). Every request
+    /// survives one connection drop: the session re-dials (capped
+    /// backoff, short deadline), re-attaches its watches, and re-sends
+    /// only the requests not yet answered (`result` is idempotent). It
+    /// dials again only if the fresh connection answered something first.
+    fn remote_results(&mut self, jobs: &[u64]) -> Result<Vec<Response>, ClientError> {
+        let mut answers = Vec::with_capacity(jobs.len());
+        let mut reconnected = false;
+        loop {
+            let before = answers.len();
             let Transport::Remote(t) = &mut self.transport else {
-                return Err(ClientError::Protocol("remote round-trip on a local session".into()));
+                return Err(ClientError::Protocol("remote results on a local session".into()));
             };
-            t.roundtrip(request)
-        };
-        match first {
-            Err(e) if is_disconnect(&e) => {
-                self.reconnect(Instant::now() + RESUME_TIMEOUT)?;
-                let Transport::Remote(t) = &mut self.transport else {
-                    unreachable!("reconnect keeps the transport remote")
-                };
-                t.roundtrip(request)
+            match t.fetch_results(&jobs[before..], &mut answers) {
+                Ok(()) => return Ok(answers),
+                Err(e) if is_disconnect(&e) && (!reconnected || answers.len() > before) => {
+                    reconnected = true;
+                    self.reconnect(Instant::now() + RESUME_TIMEOUT)?;
+                }
+                Err(e) => return Err(e),
             }
-            other => other,
         }
     }
 

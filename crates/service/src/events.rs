@@ -15,12 +15,17 @@
 //!   worker — pushes never block and never wait on the consumer.
 //!
 //! The watched-job set lives in the outbox too, together with the last
-//! delivered state *rank* per job (queued < running < terminal). Rank
-//! gating makes the stream monotonic: the synthetic snapshot emitted at
-//! watch time and a racing live transition can never reorder or
-//! duplicate states from the consumer's point of view.
+//! delivered state rank per job ([`JobState::rank`]: queued < running <
+//! terminal). Rank gating makes the stream monotonic: the synthetic
+//! snapshot emitted at watch time and a racing live transition can never
+//! reorder or duplicate states from the consumer's point of view.
+//!
+//! [`writer_loop`] is the one consumer a socket needs: the daemon's and
+//! the router's connections both drain their outbox through it.
 
 use std::collections::{HashMap, VecDeque};
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,16 +36,6 @@ use gmm_api::Termination;
 
 use crate::protocol::JobEvent;
 use crate::queue::JobState;
-
-/// Delivery order of states; events may only advance the rank.
-fn rank(state: JobState) -> u8 {
-    match state {
-        JobState::Queued => 0,
-        JobState::Running => 1,
-        // Every terminal state (including `Expired`) outranks running.
-        _ => 2,
-    }
-}
 
 /// One frame queued for a subscriber.
 #[derive(Debug, Clone)]
@@ -164,7 +159,7 @@ impl Outbox {
                         s.watched.insert(
                             job,
                             Watch {
-                                rank: rank(state),
+                                rank: state.rank(),
                                 progress,
                             },
                         );
@@ -215,7 +210,7 @@ impl Outbox {
                 let Some(watch) = s.watched.get_mut(job) else {
                     return;
                 };
-                if rank(*state) <= watch.rank {
+                if state.rank() <= watch.rank {
                     return; // stale or duplicate transition
                 }
                 if state.is_terminal() {
@@ -224,7 +219,7 @@ impl Outbox {
                     // in-flight jobs.
                     s.watched.remove(job);
                 } else {
-                    watch.rank = rank(*state);
+                    watch.rank = state.rank();
                 }
                 s.frames.push_back(Frame::Event(ev.clone()));
             }
@@ -287,6 +282,43 @@ impl Outbox {
     /// counter (i.e. the owning queue's `events_dropped`).
     pub fn dropped_total(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
+    }
+}
+
+/// The writer half of one connection: drains `outbox` to the socket
+/// until the outbox closes or the peer goes away. On a write failure it
+/// shuts the socket down both ways so a reader blocked mid-read unblocks
+/// too. Frames leave in outbox order, so a connection's responses reach
+/// the peer in the order its requests were answered.
+pub fn writer_loop(mut stream: TcpStream, outbox: &Outbox) {
+    loop {
+        match outbox.pop(None) {
+            Popped::Frame(frame) => {
+                let mut text = match frame {
+                    Frame::Response(line) => line,
+                    // Rendering an event cannot fail with the in-tree
+                    // serde_json, but a panic here would tear down the
+                    // writer and wedge the connection; degrade to a
+                    // structured error frame instead.
+                    Frame::Event(ev) => serde_json::to_string(&ev).unwrap_or_else(|_| {
+                        r#"{"ok":false,"message":"internal: event frame failed to render"}"#
+                            .to_string()
+                    }),
+                };
+                text.push('\n');
+                if stream
+                    .write_all(text.as_bytes())
+                    .and_then(|_| stream.flush())
+                    .is_err()
+                {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    return;
+                }
+            }
+            Popped::Closed => return,
+            // No deadline is ever passed to this pop.
+            Popped::TimedOut => unreachable!("writer pops without a deadline"),
+        }
     }
 }
 

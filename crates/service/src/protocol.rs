@@ -92,10 +92,25 @@
 //! and fires a running job's cancellation token (the solver notices
 //! within milliseconds); the response reports the state as of the call.
 //!
-//! The `solution` field of a `result` response embeds the cached canonical
-//! JSON as a raw tree: the deterministic writer guarantees that re-rendering
-//! it reproduces the cache's bytes exactly, which is what the byte-identity
-//! acceptance check compares.
+//! ## Response order
+//!
+//! One connection's responses are written in the order its requests
+//! arrived: the daemon and the router both read a connection's requests
+//! one at a time and answer through one FIFO writer, with event frames
+//! interleaved between responses but never reordering them. A client may
+//! therefore pipeline — write many requests before reading the first
+//! answer — and match the answers to its requests by position
+//! ([`crate::Session::wait_all`] fetches a round's results that way).
+//!
+//! ## Payload bytes
+//!
+//! The `solution` field of a `result` (and a `peek` hit) embeds the cached
+//! canonical JSON verbatim: [`result_frame`] and [`peek_frame`] copy the
+//! cache entry's stored bytes into the frame without parsing them. The
+//! deterministic writer renders a parsed payload back to the same bytes,
+//! so the frame is exactly what rendering the parsed tree would give, and
+//! a client that re-renders the tree recovers the cache's bytes — which is
+//! what the byte-identity acceptance check compares.
 //!
 //! Serialization is hand-written (rather than derived) because the derive
 //! stand-in encodes enums as `{"Variant": …}` envelopes; a wire protocol
@@ -489,6 +504,100 @@ impl From<gmm_api::ProgressEvent> for ProgressFrame {
     }
 }
 
+/// Render a `result` response line (no trailing newline), copying
+/// `solution` — canonical JSON text, or `None` for `null` — into it
+/// verbatim.
+///
+/// This function owns the wire layout of the `result` frame: the daemon
+/// passes a cache entry's stored bytes, and every producer holding a
+/// solution tree renders it and comes through here via
+/// [`render_response`]. The bytes equal
+/// `serde_json::to_string(&Response::ResultReady { .. })` of the same
+/// answer with the payload parsed (pinned by a test).
+pub fn result_frame(
+    job: u64,
+    state: JobState,
+    cached: bool,
+    objective: Option<f64>,
+    solution: Option<&str>,
+    error: Option<&str>,
+) -> String {
+    let mut line = String::with_capacity(160 + solution.map_or(0, str::len));
+    line.push_str(r#"{"ok":true,"verb":"result","job":"#);
+    line.push_str(&job.to_string());
+    line.push_str(r#","state":""#);
+    line.push_str(state.as_str());
+    line.push_str(r#"","cached":"#);
+    line.push_str(if cached { "true" } else { "false" });
+    line.push_str(r#","objective":"#);
+    push_json(&mut line, &objective);
+    line.push_str(r#","solution":"#);
+    line.push_str(solution.unwrap_or("null"));
+    line.push_str(r#","error":"#);
+    push_json(&mut line, &error);
+    line.push('}');
+    line
+}
+
+/// Render a `peek` response line (no trailing newline), copying
+/// `solution` into it verbatim; the `peek` counterpart of
+/// [`result_frame`], with the same guarantee.
+pub fn peek_frame(hit: bool, objective: Option<f64>, solution: Option<&str>) -> String {
+    let mut line = String::with_capacity(96 + solution.map_or(0, str::len));
+    line.push_str(r#"{"ok":true,"verb":"peek","hit":"#);
+    line.push_str(if hit { "true" } else { "false" });
+    line.push_str(r#","objective":"#);
+    push_json(&mut line, &objective);
+    line.push_str(r#","solution":"#);
+    line.push_str(solution.unwrap_or("null"));
+    line.push('}');
+    line
+}
+
+/// A response's wire line (no trailing newline). `result` and `peek`
+/// answers render their solution tree and go through [`result_frame`] and
+/// [`peek_frame`]; every other response renders through `Serialize`.
+pub fn render_response(response: &Response) -> String {
+    match response {
+        Response::ResultReady {
+            job,
+            state,
+            cached,
+            objective,
+            solution,
+            error,
+        } => {
+            let tree = solution.as_ref().map(render);
+            result_frame(*job, *state, *cached, *objective, tree.as_deref(), error.as_deref())
+        }
+        Response::Peeked {
+            hit,
+            objective,
+            solution,
+        } => {
+            let tree = solution.as_ref().map(render);
+            peek_frame(*hit, *objective, tree.as_deref())
+        }
+        other => render(other),
+    }
+}
+
+// Rendering cannot fail with the in-tree serde_json; were it ever to,
+// a response degrades to a structured error frame, and a field of one
+// to `null`, rather than panicking on the request path.
+fn render<T: Serialize + ?Sized>(value: &T) -> String {
+    serde_json::to_string(value).unwrap_or_else(|_| {
+        r#"{"ok":false,"error":"internal: response failed to render"}"#.to_string()
+    })
+}
+
+fn push_json<T: Serialize + ?Sized>(line: &mut String, value: &T) {
+    match serde_json::to_string(value) {
+        Ok(text) => line.push_str(&text),
+        Err(_) => line.push_str("null"),
+    }
+}
+
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
@@ -829,6 +938,9 @@ impl Serialize for Response {
                 ("cached", Value::Bool(*cached)),
                 ("key", Value::Str(key.clone())),
             ]),
+            // The trees of the `peek` and `result` frames; the wire lines
+            // come from `peek_frame` and `result_frame`, which a test
+            // pins to these trees' rendering.
             Response::Peeked {
                 hit,
                 objective,
@@ -1505,6 +1617,100 @@ mod tests {
     fn shutdown_round_trips() {
         round_trip_request(Request::Shutdown);
         round_trip_response(Response::Bye);
+    }
+
+    /// Canonical payload texts the frame renderers must copy verbatim:
+    /// hand trees covering every value kind and string escape, and real
+    /// solve payloads.
+    fn payload_fixtures() -> Vec<String> {
+        let hand = Value::Object(vec![
+            ("floats".into(), Value::Array(
+                [0.1 + 0.2, -0.0, 3.0, -2.5e-9, 1e16, 1e20, f64::INFINITY, f64::NAN]
+                    .into_iter()
+                    .map(Value::Float)
+                    .collect(),
+            )),
+            ("ints".into(), Value::Array(vec![Value::Int(-7), Value::UInt(u64::MAX)])),
+            ("text".into(), Value::Str("quote \" slash \\ nl \n tab \t ctl \u{1} é".into())),
+            ("flags".into(), Value::Array(vec![Value::Bool(true), Value::Null])),
+            ("empty".into(), Value::Object(vec![])),
+        ]);
+        let mut fixtures = vec![
+            "[]".to_string(),
+            "{}".to_string(),
+            serde_json::to_string(&hand).unwrap(),
+        ];
+        let queue = crate::JobQueue::new(crate::QueueOptions {
+            workers: 1,
+            ..Default::default()
+        });
+        for seed in 0..3 {
+            let design = gmm_workloads::random_design(&gmm_workloads::RandomDesignSpec {
+                segments: 4 + seed as usize,
+                seed,
+                ..gmm_workloads::RandomDesignSpec::default()
+            });
+            let board = Board::prototyping("XCV300", 1).unwrap();
+            let ticket = queue.submit(design, board, JobConfig::default());
+            let out = queue
+                .wait(ticket.id, std::time::Duration::from_secs(120))
+                .unwrap();
+            fixtures.push(out.solution_json.expect("solved").solution_json.clone());
+        }
+        queue.shutdown();
+        fixtures
+    }
+
+    #[test]
+    fn verbatim_frames_match_the_rendered_trees() {
+        let mut payloads: Vec<Option<String>> = vec![None];
+        payloads.extend(payload_fixtures().into_iter().map(Some));
+        let objectives = [None, Some(42.0), Some(-0.5), Some(123456.789), Some(1e-7)];
+        let errors = [None, Some("job 3 \"failed\"\nbadly")];
+        let states = [JobState::Done, JobState::Queued, JobState::Deadline, JobState::Expired];
+        for payload in &payloads {
+            let tree = payload
+                .as_ref()
+                .map(|p| serde_json::from_str::<Value>(p).unwrap());
+            for objective in objectives {
+                for error in errors {
+                    for state in states {
+                        for cached in [false, true] {
+                            let resp = Response::ResultReady {
+                                job: 77,
+                                state,
+                                cached,
+                                objective,
+                                solution: tree.clone(),
+                                error: error.map(str::to_string),
+                            };
+                            let expected = serde_json::to_string(&resp).unwrap();
+                            let frame = result_frame(
+                                77,
+                                state,
+                                cached,
+                                objective,
+                                payload.as_deref(),
+                                error,
+                            );
+                            assert_eq!(frame, expected);
+                            assert_eq!(render_response(&resp), expected);
+                        }
+                    }
+                }
+                let resp = Response::Peeked {
+                    hit: payload.is_some(),
+                    objective,
+                    solution: tree.clone(),
+                };
+                let expected = serde_json::to_string(&resp).unwrap();
+                assert_eq!(
+                    peek_frame(payload.is_some(), objective, payload.as_deref()),
+                    expected
+                );
+                assert_eq!(render_response(&resp), expected);
+            }
+        }
     }
 
     #[test]

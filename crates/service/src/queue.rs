@@ -263,6 +263,17 @@ impl JobState {
                 | JobState::Expired
         )
     }
+
+    /// Delivery order of states (queued < running < terminal): a job's
+    /// state may only move to a higher rank. Every terminal state,
+    /// including `Expired`, outranks running.
+    pub fn rank(self) -> u8 {
+        match self {
+            JobState::Queued => 0,
+            JobState::Running => 1,
+            _ => 2,
+        }
+    }
 }
 
 impl serde::Serialize for JobState {
@@ -1082,14 +1093,8 @@ impl JobQueue {
         // first writer wins there, so the payload stays byte-identical
         // even if a racing solve of the same instance got there first.
         if let Some(store) = &self.inner.persist {
-            if let Some((objective, solution_json)) = store.get(key) {
-                let stored = self.inner.cache.insert(
-                    key,
-                    CacheEntry {
-                        solution_json,
-                        objective,
-                    },
-                );
+            if let Some(entry) = disk_entry(store, key) {
+                let stored = self.inner.cache.insert(key, entry);
                 self.inner.finish(
                     id,
                     JobState::Done,
@@ -1435,6 +1440,20 @@ impl Drop for JobQueue {
     }
 }
 
+/// A disk-tier solution as a memory-cache entry. The daemon copies
+/// cached payloads onto the wire unparsed, so the memory cache must only
+/// ever hold valid JSON: a record whose payload no longer parses (the
+/// file was damaged after its checksum was verified at load) is served
+/// as a miss and solved again.
+fn disk_entry(store: &PersistStore, key: InstanceKey) -> Option<CacheEntry> {
+    let (objective, solution_json) = store.get(key)?;
+    serde_json::from_str::<serde_json::Value>(&solution_json).ok()?;
+    Some(CacheEntry {
+        solution_json,
+        objective,
+    })
+}
+
 /// The structured answer for a pruned job id.
 fn expired_outcome(id: u64) -> JobOutcome {
     JobOutcome {
@@ -1541,14 +1560,8 @@ fn process(job: Job, inner: &Arc<Inner>) {
     // solve does not count a second disk miss on top of submit's.
     if let Some(store) = &inner.persist {
         if store.contains(job.key) {
-            if let Some((objective, solution_json)) = store.get(job.key) {
-                let stored = inner.cache.insert(
-                    job.key,
-                    CacheEntry {
-                        solution_json,
-                        objective,
-                    },
-                );
+            if let Some(entry) = disk_entry(store, job.key) {
+                let stored = inner.cache.insert(job.key, entry);
                 inner.finish(
                     job.id,
                     JobState::Done,
@@ -2250,6 +2263,34 @@ mod tests {
         assert_eq!(s.persist.disk_hits, 1);
         assert_eq!(s.persist.disk_corrupt, 0);
         assert_eq!(s.cache.entries, 1, "the disk hit was promoted to memory");
+        drop(q);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unparsable_disk_payload_is_solved_again_not_cached() {
+        let dir = std::env::temp_dir().join(format!(
+            "gmm-queue-unparsable-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (design, board) = small_instance(22);
+        let key = instance_key(&design, &board, &JobConfig::default());
+        // A record whose checksum holds but whose payload is not JSON.
+        PersistStore::open(&dir).unwrap().put(key, 1.0, "{\"global\":[1,");
+        let q = JobQueue::new(QueueOptions {
+            workers: 1,
+            persist_dir: Some(dir.clone()),
+            ..QueueOptions::default()
+        });
+        let t = q.submit(design, board, JobConfig::default());
+        assert_eq!(t.key, key, "the record sits under the job's key");
+        assert!(!t.cached, "the damaged record must not answer the job");
+        let out = q.wait(t.id, Duration::from_secs(60)).unwrap();
+        assert_eq!(out.state, JobState::Done);
+        let payload = out.solution_json.unwrap();
+        assert!(serde_json::from_str::<serde_json::Value>(&payload.solution_json).is_ok());
         drop(q);
         let _ = std::fs::remove_dir_all(&dir);
     }

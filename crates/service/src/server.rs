@@ -5,10 +5,12 @@
 //! drives a shared [`JobQueue`]. Each connection owns **two** threads:
 //!
 //! * a *reader* parsing request lines and producing responses, and
-//! * a *writer* draining the connection's [`Outbox`] — a single FIFO
-//!   that merges responses with server-push event frames, so write
-//!   order always matches production order and no two threads ever
-//!   interleave bytes on the socket.
+//! * a *writer* draining the connection's [`Outbox`](crate::events::Outbox)
+//!   — a single FIFO that merges responses with server-push event
+//!   frames, so write order always matches production order and no two
+//!   threads ever interleave bytes on the socket. Requests are answered
+//!   one at a time, so responses leave in request order and clients may
+//!   pipeline.
 //!
 //! The event fan-out runs from the queue's worker callbacks into the
 //! bounded outboxes: a `watch`ed connection that stops reading fills
@@ -18,23 +20,21 @@
 //! client holds one socket for its whole run); the solve parallelism
 //! lives in the queue workers, not in the connection handlers.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use serde_json::Value;
-
-use crate::events::{Frame, Outbox, Popped};
+use crate::events::writer_loop;
 use crate::protocol::{
-    AttachSnapshot, ProtoVersions, Request, Response, ServiceStats, SubmitReceipt, CAPABILITIES,
-    PROTO_VERSION,
+    peek_frame, render_response, result_frame, AttachSnapshot, ProtoVersions, Request, Response,
+    ServiceStats, SubmitReceipt, CAPABILITIES, PROTO_VERSION,
 };
 use crate::queue::{JobQueue, Overloaded};
 
 /// Per-connection cap on queued progress frames (state frames and
-/// responses are never dropped; see [`Outbox`]).
+/// responses are never dropped; see [`Outbox`](crate::events::Outbox)).
 pub const EVENT_QUEUE_CAP: usize = 1024;
 
 /// State shared by the acceptor and every connection thread.
@@ -145,42 +145,6 @@ fn accept_loop(listener: TcpListener, local: SocketAddr, shared: Arc<Shared>) {
     }
 }
 
-/// The writer half of one connection: drains the outbox to the socket
-/// until the outbox closes or the peer goes away. On a write failure it
-/// shuts the socket down both ways so a reader blocked mid-`read_line`
-/// unblocks too.
-fn writer_loop(mut stream: TcpStream, outbox: &Outbox) {
-    loop {
-        match outbox.pop(None) {
-            Popped::Frame(frame) => {
-                let mut text = match frame {
-                    Frame::Response(line) => line,
-                    // Rendering an event cannot fail with the in-tree
-                    // serde_json, but a panic here would tear down the
-                    // writer and wedge the connection; degrade to a
-                    // structured error frame instead.
-                    Frame::Event(ev) => serde_json::to_string(&ev).unwrap_or_else(|_| {
-                        r#"{"ok":false,"message":"internal: event frame failed to render"}"#
-                            .to_string()
-                    }),
-                };
-                text.push('\n');
-                if stream
-                    .write_all(text.as_bytes())
-                    .and_then(|_| stream.flush())
-                    .is_err()
-                {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-            }
-            Popped::Closed => return,
-            // No deadline is ever passed to this pop.
-            Popped::TimedOut => unreachable!("writer pops without a deadline"),
-        }
-    }
-}
-
 fn serve_connection(
     stream: TcpStream,
     local: SocketAddr,
@@ -212,7 +176,9 @@ fn serve_connection(
             if line.trim().is_empty() {
                 continue;
             }
-            let (response, shutting_down) = match serde_json::from_str::<Request>(&line) {
+            let request = serde_json::from_str::<Request>(&line);
+            let shutting_down = matches!(request, Ok(Request::Shutdown));
+            let text = match request {
                 // A connection that outlives another client's shutdown verb
                 // can still poll results, but its submits must fail loudly —
                 // the queue workers are (being) joined and would never pop
@@ -220,12 +186,9 @@ fn serve_connection(
                 Ok(Request::Submit { .. } | Request::SubmitBatch { .. })
                     if shared.stop.load(Ordering::Acquire) =>
                 {
-                    (
-                        Response::Error {
-                            message: "server is shutting down".into(),
-                        },
-                        false,
-                    )
+                    render_response(&Response::Error {
+                        message: "server is shutting down".into(),
+                    })
                 }
                 Ok(request) => {
                     if !counted {
@@ -240,7 +203,7 @@ fn serve_connection(
                     match request {
                         Request::Hello { proto } => {
                             negotiated_v2 = proto >= 2;
-                            (handle(Request::Hello { proto }, queue), false)
+                            handle(Request::Hello { proto }, queue)
                         }
                         Request::Watch {
                             jobs,
@@ -257,7 +220,7 @@ fn serve_connection(
                             }
                             let (watching, unknown) =
                                 outbox.watch(&jobs, progress, |id| queue.state_snapshot(id));
-                            (Response::Watching { watching, unknown }, false)
+                            render_response(&Response::Watching { watching, unknown })
                         }
                         // Reconnect re-subscription: answer every known
                         // id's current state in the response (terminal
@@ -291,7 +254,7 @@ fn serve_connection(
                                 }
                             }
                             outbox.watch(&jobs, progress, |id| queue.state_snapshot(id));
-                            (Response::Attached { attached, unknown }, false)
+                            render_response(&Response::Attached { attached, unknown })
                         }
                         // A watched batch registers each job with this
                         // connection's outbox at submission time, so the
@@ -304,7 +267,7 @@ fn serve_connection(
                             watch: true,
                             progress,
                         } => match queue.check_admission() {
-                            Err(over) => (overloaded_response(over, negotiated_v2), false),
+                            Err(over) => render_response(&overloaded_response(over, negotiated_v2)),
                             Ok(()) => {
                                 if subscription.is_none() {
                                     subscription = Some(queue.subscribe(outbox.clone()));
@@ -324,7 +287,7 @@ fn serve_connection(
                                         ))
                                     })
                                     .collect();
-                                (Response::BatchSubmitted { jobs: receipts }, false)
+                                render_response(&Response::BatchSubmitted { jobs: receipts })
                             }
                         },
                         // The admission gate runs once per submit
@@ -332,28 +295,20 @@ fn serve_connection(
                         // receipts never cover half a frame).
                         other @ (Request::Submit { .. } | Request::SubmitBatch { .. }) => {
                             match queue.check_admission() {
-                                Err(over) => (overloaded_response(over, negotiated_v2), false),
-                                Ok(()) => (handle(other, queue), false),
+                                Err(over) => {
+                                    render_response(&overloaded_response(over, negotiated_v2))
+                                }
+                                Ok(()) => handle(other, queue),
                             }
                         }
-                        Request::Stats => (stats_response(shared), false),
-                        Request::Shutdown => (Response::Bye, true),
-                        other => (handle(other, queue), false),
+                        Request::Stats => render_response(&stats_response(shared)),
+                        other => handle(other, queue),
                     }
                 }
-                Err(e) => (
-                    Response::Error {
-                        message: format!("bad request: {e}"),
-                    },
-                    false,
-                ),
+                Err(e) => render_response(&Response::Error {
+                    message: format!("bad request: {e}"),
+                }),
             };
-            // A response that fails to render (impossible with the
-            // in-tree serde_json) degrades to a structured error line
-            // rather than panicking the connection thread.
-            let text = serde_json::to_string(&response).unwrap_or_else(|_| {
-                r#"{"ok":false,"message":"internal: response failed to render"}"#.to_string()
-            });
             outbox.push_response(text);
             if shutting_down {
                 shared.stop.store(true, Ordering::Release);
@@ -454,14 +409,16 @@ pub fn service_stats(queue: &JobQueue, proto_versions: ProtoVersions) -> Service
     // lint:stats-verb-end
 }
 
-/// Map one request to its response against the queue.
+/// Map one request to its response line against the queue.
 ///
 /// This is the connection-independent core: every verb except `watch`
 /// (which needs a streaming connection and answers an error here) and
 /// the connection-counting side of `stats` (`proto_versions` reads as
-/// zero through this path) behaves exactly as over a socket.
-pub fn handle(request: Request, queue: &JobQueue) -> Response {
-    match request {
+/// zero through this path) behaves exactly as over a socket. A `result`
+/// or `peek` hit carries the cache entry's stored payload bytes
+/// verbatim ([`result_frame`], [`peek_frame`]).
+pub fn handle(request: Request, queue: &JobQueue) -> String {
+    let response = match request {
         Request::Hello { proto } => Response::Welcome {
             proto: proto.clamp(1, PROTO_VERSION),
             capabilities: CAPABILITIES.iter().map(|c| c.to_string()).collect(),
@@ -511,23 +468,14 @@ pub fn handle(request: Request, queue: &JobQueue) -> Response {
             None => Response::Error {
                 message: format!("peek: `{key}` is not a 32-hex-digit instance key"),
             },
-            Some(key) => match queue.cache().peek(key) {
-                Some(entry) => match serde_json::from_str::<Value>(&entry.solution_json) {
-                    Ok(solution) => Response::Peeked {
-                        hit: true,
-                        objective: Some(entry.objective),
-                        solution: Some(solution),
-                    },
-                    Err(e) => Response::Error {
-                        message: format!("peek: stored solution is not valid JSON: {e}"),
-                    },
-                },
-                None => Response::Peeked {
-                    hit: false,
-                    objective: None,
-                    solution: None,
-                },
-            },
+            Some(key) => {
+                let entry = queue.cache().peek(key);
+                return peek_frame(
+                    entry.is_some(),
+                    entry.as_ref().map(|e| e.objective),
+                    entry.as_ref().map(|e| e.solution_json.as_str()),
+                );
+            }
         },
         Request::Poll { job } => match queue.poll(job) {
             Some(state) => Response::PollState { job, state },
@@ -535,32 +483,19 @@ pub fn handle(request: Request, queue: &JobQueue) -> Response {
                 message: format!("unknown job {job}"),
             },
         },
+        // The memory cache only ever holds canonical JSON: solves store
+        // `canonical_json` output, and a disk-tier record is parsed
+        // before it is promoted into memory.
         Request::Result { job } => match queue.outcome(job) {
             Some(out) => {
-                let solution = match out.solution_json.as_ref() {
-                    // The cache stores canonical JSON, but a corrupt
-                    // persisted record must surface as a structured
-                    // error, not a connection-killing panic.
-                    Some(entry) => match serde_json::from_str::<Value>(&entry.solution_json) {
-                        Ok(value) => Some(value),
-                        Err(e) => {
-                            return Response::Error {
-                                message: format!(
-                                    "job {job}: stored solution is not valid JSON: {e}"
-                                ),
-                            };
-                        }
-                    },
-                    None => None,
-                };
-                Response::ResultReady {
+                return result_frame(
                     job,
-                    state: out.state,
-                    cached: out.cached,
-                    objective: out.objective,
-                    solution,
-                    error: out.error,
-                }
+                    out.state,
+                    out.cached,
+                    out.objective,
+                    out.solution_json.as_ref().map(|e| e.solution_json.as_str()),
+                    out.error.as_deref(),
+                )
             }
             None => Response::Error {
                 message: format!("unknown job {job}"),
@@ -574,5 +509,6 @@ pub fn handle(request: Request, queue: &JobQueue) -> Response {
         },
         Request::Stats => Response::Stats(service_stats(queue, ProtoVersions::default())),
         Request::Shutdown => Response::Bye,
-    }
+    };
+    render_response(&response)
 }
