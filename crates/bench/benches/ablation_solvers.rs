@@ -1,9 +1,5 @@
 //! Ablations over the design choices DESIGN.md calls out:
 //!
-//! * serial vs work-stealing **parallel** branch-and-bound on the global
-//!   formulation (our HPC extension — the paper's future work asks for
-//!   larger designs);
-//! * root **cutting planes** on vs off;
 //! * **constructive vs ILP** detailed mapper (time and fragmentation);
 //! * pre-processing throughput on a full Table 3 point (the cost of the
 //!   paper's `CP/CW/CD` tables, which the global formulation's speed
@@ -11,10 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gmm_core::pipeline::{DetailedStrategy, Mapper, MapperOptions};
-use gmm_core::{CostMatrix, CostWeights, DetailedIlpOptions, PreTable, SolverBackend};
-use gmm_ilp::branch::MipOptions;
-use gmm_ilp::cuts::CutOptions;
-use gmm_ilp::parallel::ParallelOptions;
+use gmm_core::{CostMatrix, DetailedIlpOptions, PreTable};
 use gmm_workloads::{table3_board, table3_design, TABLE3};
 use std::hint::black_box;
 
@@ -24,29 +17,6 @@ fn bench(c: &mut Criterion) {
     let point = &TABLE3[5];
     let design = table3_design(point, 0xF00D);
     let board = table3_board(point);
-
-    let mut g = c.benchmark_group("ablation/global_backend");
-    g.sample_size(10);
-    g.bench_function("serial", |b| {
-        let mut opts = MapperOptions::new();
-        opts.backend = SolverBackend::Serial(MipOptions::default());
-        let mapper = Mapper::new(opts);
-        b.iter(|| black_box(mapper.map(&design, &board).unwrap()))
-    });
-    g.bench_function("serial_with_cuts", |b| {
-        let mut opts = MapperOptions::new();
-        opts.backend =
-            SolverBackend::SerialWithCuts(MipOptions::default(), CutOptions::default());
-        let mapper = Mapper::new(opts);
-        b.iter(|| black_box(mapper.map(&design, &board).unwrap()))
-    });
-    g.bench_function("parallel", |b| {
-        let mut opts = MapperOptions::new();
-        opts.backend = SolverBackend::Parallel(ParallelOptions::default());
-        let mapper = Mapper::new(opts);
-        b.iter(|| black_box(mapper.map(&design, &board).unwrap()))
-    });
-    g.finish();
 
     let mut g = c.benchmark_group("ablation/detailed_mapper");
     g.sample_size(10);
@@ -88,19 +58,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(CostMatrix::build(&design, &board, &pre)))
     });
     g.finish();
-
-    // Sanity: all backends agree on cost (asserted once, not timed).
-    let w = CostWeights::default();
-    let serial = {
-        let mapper = Mapper::new(MapperOptions::new());
-        mapper.map(&design, &board).unwrap().cost.weighted(&w)
-    };
-    let parallel = {
-        let mut opts = MapperOptions::new();
-        opts.backend = SolverBackend::Parallel(ParallelOptions::default());
-        Mapper::new(opts).map(&design, &board).unwrap().cost.weighted(&w)
-    };
-    assert!((serial - parallel).abs() < 1e-6);
 }
 
 criterion_group!(benches, bench);

@@ -11,7 +11,7 @@
 //! | Figure 3 (`consumed_ports`)     | `fig3_consumed_ports` |
 //! | Table 3 (solve times)           | `table3_solve_times` |
 //! | Figure 4 (scaling plot)         | `fig4_scaling` |
-//! | design-choice ablations         | `ablation_solvers` |
+//! | detailed-mapper and pre-processing ablations | `ablation_solvers` |
 
 use gmm_core::pipeline::{Mapper, MapperOptions};
 use gmm_core::{CostWeights, SolverBackend};

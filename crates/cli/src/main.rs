@@ -57,7 +57,6 @@ use gmm_core::{
 };
 use gmm_design::Design;
 use gmm_ilp::branch::MipOptions;
-use gmm_ilp::parallel::ParallelOptions;
 use gmm_ilp::StopReason;
 use gmm_service::{
     JobConfig, JobEvent, JobQueue, JobState, LpBasis, LpPricing, MapServer, ProgressFrame,
@@ -189,8 +188,8 @@ const USAGE: &str = "\
 gmm — global/detailed memory mapping for FPGA-based reconfigurable systems
 
 USAGE:
-  gmm solve --design <d.json> --board <b.json> [--complete] [--parallel N]
-            [--overlap] [--ilp-detailed] [--lp-basis dense|lu]
+  gmm solve --design <d.json> --board <b.json> [--complete] [--overlap]
+            [--ilp-detailed] [--lp-basis dense|lu]
             [--lp-pricing dantzig|partial|devex]
             [--solve-mode ilp|heuristic|portfolio]
             [--deadline-secs T] [--node-budget N] [--progress]
@@ -228,8 +227,8 @@ USAGE:
   gmm table1
   gmm table2 [--ports 3] [--depth 16]
   gmm fig2
-  gmm table3 [--points 1..9] [--cap-secs 60] [--parallel N]
-             [--lp-basis dense|lu] [--lp-pricing dantzig|partial|devex]
+  gmm table3 [--points 1..9] [--cap-secs 60] [--lp-basis dense|lu]
+             [--lp-pricing dantzig|partial|devex]
 
 Every subcommand answers `--help` with its own usage text.
 
@@ -331,7 +330,6 @@ OPTIONS:
   --design <file>       design JSON (required)
   --board <file>        board JSON (required)
   --complete            one-step complete formulation (Table 3 baseline)
-  --parallel N          work-stealing parallel branch-and-bound, N threads
   --overlap             lifetime-based capacity modification
   --ilp-detailed        ILP detailed mapper instead of the constructive packer
   --lp-basis dense|lu   simplex basis factorization backend (default lu)
@@ -517,8 +515,8 @@ USAGE:
 gmm table3 — regenerate Table 3 / Figure 4 (complete vs global)
 
 USAGE:
-  gmm table3 [--points 1..9] [--cap-secs 60] [--parallel N]
-             [--lp-basis dense|lu] [--lp-pricing dantzig|partial|devex]"
+  gmm table3 [--points 1..9] [--cap-secs 60] [--lp-basis dense|lu]
+             [--lp-pricing dantzig|partial|devex]"
         }
         "bench" => {
             "\
@@ -785,13 +783,7 @@ fn solve_mode_from_flags(f: &Flags) -> Result<SolveMode, CliError> {
 }
 
 fn backend_from_flags(f: &Flags) -> Result<SolverBackend, CliError> {
-    let mut backend = match f.get("--parallel") {
-        Some(n) => SolverBackend::Parallel(ParallelOptions {
-            threads: n.parse().unwrap_or(0),
-            ..ParallelOptions::default()
-        }),
-        None => SolverBackend::Serial(MipOptions::default()),
-    };
+    let mut backend = SolverBackend::default();
     if let Some(basis) = lp_basis_from_flags(f)? {
         backend.set_lp_basis(basis);
     }
@@ -2323,7 +2315,6 @@ fn cmd_table3(args: &[String]) -> Result<(), CliError> {
         Some(spec) => parse_points(spec)?,
         None => (1..=9).collect(),
     };
-    let threads: usize = f.parse("--parallel")?.unwrap_or(0);
 
     println!("Table 3: ILP execution times, complete vs global/detailed");
     println!("(time cap per solve: {cap:?}; '>' marks capped runs)\n");
@@ -2346,18 +2337,10 @@ fn cmd_table3(args: &[String]) -> Result<(), CliError> {
         let design = table3_design(&point, 0xF00D);
         let board = table3_board(&point);
 
-        let mip = MipOptions {
+        let mut backend = SolverBackend::Serial(MipOptions {
             time_limit: Some(cap),
             ..MipOptions::default()
-        };
-        let mut backend = if threads > 0 {
-            SolverBackend::Parallel(ParallelOptions {
-                threads,
-                mip: mip.clone(),
-            })
-        } else {
-            SolverBackend::Serial(mip)
-        };
+        });
         if let Some(basis) = lp_basis_from_flags(&f)? {
             backend.set_lp_basis(basis);
         }

@@ -134,13 +134,21 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets one line of `[` overflow the
+/// stack of whichever thread parses it; 128 is far above any frame the
+/// service protocol sends and far below what a 2 MiB thread stack holds.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 fn parse(text: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -185,8 +193,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') if self.eat_word("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_word("false") => Ok(Value::Bool(false)),
@@ -200,6 +208,21 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, Error>,
+    ) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, Error> {
@@ -366,6 +389,27 @@ mod tests {
     fn pretty_output_shape() {
         let v: Vec<u32> = vec![1, 2];
         assert_eq!(to_string_pretty(&v).unwrap(), "[\n  1,\n  2\n]");
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_small_stack() {
+        // A service connection thread's default stack: unbounded recursion
+        // overflowed it long before 200k levels.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for hostile in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+                    let err = parse(&hostile).unwrap_err();
+                    assert!(err.0.contains("at byte"), "{err}");
+                }
+                let nest = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+                assert!(parse(&nest(MAX_DEPTH)).is_ok());
+                let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+                assert_eq!(err.0, format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -16,22 +16,17 @@ use gmm_arch::{BankTypeId, Board};
 use gmm_design::{Design, SegmentId};
 use gmm_ilp::branch::{solve_mip, MipOptions, MipResult};
 use gmm_ilp::control::SolveControl;
-use gmm_ilp::cuts::{solve_mip_with_cuts, CutOptions};
 use gmm_ilp::error::{IlpError, MipStatus, StopReason};
 use gmm_ilp::model::{LinExpr, Model, Objective, Sense, VarId};
-use gmm_ilp::parallel::{solve_mip_parallel, ParallelOptions};
 
 use crate::mapping::GlobalAssignment;
 
-/// Which MIP engine runs the formulation.
+/// The MIP engine that runs the formulation: serial best-bound
+/// branch-and-bound.
 #[derive(Debug, Clone)]
 pub enum SolverBackend {
     /// Serial best-bound branch-and-bound.
     Serial(MipOptions),
-    /// Serial branch-and-bound after root cutting planes.
-    SerialWithCuts(MipOptions, CutOptions),
-    /// Work-stealing parallel branch-and-bound.
-    Parallel(ParallelOptions),
 }
 
 impl Default for SolverBackend {
@@ -41,64 +36,42 @@ impl Default for SolverBackend {
 }
 
 impl SolverBackend {
-    /// Dispatch a model to the configured engine.
+    /// Solve a model with the configured options.
     pub fn solve(&self, model: &Model) -> Result<MipResult, IlpError> {
-        match self {
-            SolverBackend::Serial(opts) => solve_mip(model, opts),
-            SolverBackend::SerialWithCuts(opts, cuts) => solve_mip_with_cuts(model, opts, cuts),
-            SolverBackend::Parallel(opts) => solve_mip_parallel(model, opts),
-        }
+        solve_mip(model, self.mip_options())
     }
 
-    /// Select the simplex basis-factorization backend on whichever engine
-    /// is configured (CLI `--lp-basis` plumbing).
+    /// Select the simplex basis-factorization backend (CLI `--lp-basis`
+    /// plumbing).
     pub fn set_lp_basis(&mut self, basis: gmm_ilp::BasisBackend) {
-        match self {
-            SolverBackend::Serial(opts) | SolverBackend::SerialWithCuts(opts, _) => {
-                opts.simplex.basis = basis;
-            }
-            SolverBackend::Parallel(popts) => popts.mip.simplex.basis = basis,
-        }
+        self.mip_options_mut().simplex.basis = basis;
     }
 
     /// The configured basis-factorization backend.
     pub fn lp_basis(&self) -> gmm_ilp::BasisBackend {
-        match self {
-            SolverBackend::Serial(opts) | SolverBackend::SerialWithCuts(opts, _) => {
-                opts.simplex.basis
-            }
-            SolverBackend::Parallel(popts) => popts.mip.simplex.basis,
-        }
+        self.mip_options().simplex.basis
     }
 
-    /// Select the simplex entering-column pricing rule on whichever
-    /// engine is configured (CLI `--lp-pricing` plumbing).
+    /// Select the simplex entering-column pricing rule (CLI
+    /// `--lp-pricing` plumbing).
     pub fn set_lp_pricing(&mut self, pricing: gmm_ilp::PricingRule) {
-        match self {
-            SolverBackend::Serial(opts) | SolverBackend::SerialWithCuts(opts, _) => {
-                opts.simplex.pricing = pricing;
-            }
-            SolverBackend::Parallel(popts) => popts.mip.simplex.pricing = pricing,
-        }
+        self.mip_options_mut().simplex.pricing = pricing;
     }
 
     /// The configured pricing rule.
     pub fn lp_pricing(&self) -> gmm_ilp::PricingRule {
-        match self {
-            SolverBackend::Serial(opts) | SolverBackend::SerialWithCuts(opts, _) => {
-                opts.simplex.pricing
-            }
-            SolverBackend::Parallel(popts) => popts.mip.simplex.pricing,
-        }
+        self.mip_options().simplex.pricing
     }
 
-    /// Mutable access to the underlying MIP options, whichever engine is
-    /// configured.
+    fn mip_options(&self) -> &MipOptions {
+        let SolverBackend::Serial(opts) = self;
+        opts
+    }
+
+    /// Mutable access to the underlying MIP options.
     pub fn mip_options_mut(&mut self) -> &mut MipOptions {
-        match self {
-            SolverBackend::Serial(opts) | SolverBackend::SerialWithCuts(opts, _) => opts,
-            SolverBackend::Parallel(popts) => &mut popts.mip,
-        }
+        let SolverBackend::Serial(opts) = self;
+        opts
     }
 
     /// Thread a remaining time budget, node budget, and control bundle
@@ -675,26 +648,5 @@ mod tests {
         .unwrap();
         assert_eq!(dropped_tel.incumbent_seeded, 0);
         assert_eq!(dropped.type_of, cold.type_of);
-    }
-
-    #[test]
-    fn parallel_backend_agrees_with_serial() {
-        let mut b = DesignBuilder::new("d");
-        for i in 0..10 {
-            b.segment(format!("s{i}"), 128 << (i % 3), 4 + (i % 5) as u32).unwrap();
-        }
-        let design = b.build().unwrap();
-        let board = two_tier_board();
-        let pre = PreTable::build(&design, &board);
-        let matrix = CostMatrix::build(&design, &board, &pre);
-        let w = CostWeights::default();
-        let serial = solve_global(&design, &board, &pre, &matrix, &w,
-                                  &SolverBackend::default(), false, &[]).unwrap();
-        let parallel = solve_global(&design, &board, &pre, &matrix, &w,
-                                    &SolverBackend::Parallel(ParallelOptions::default()),
-                                    false, &[]).unwrap();
-        let ws = serial.cost.weighted(&w);
-        let wp = parallel.cost.weighted(&w);
-        assert!((ws - wp).abs() < 1e-6, "serial {ws} vs parallel {wp}");
     }
 }

@@ -1,10 +1,10 @@
 //! Serial branch-and-bound driver for mixed-integer programs.
 //!
 //! Each node is an LP relaxation of the model with tightened variable
-//! bounds. Nodes are explored best-bound-first (with optional depth-first
-//! plunging); branching picks the most fractional integer variable, with
-//! pseudo-cost scores once enough history accumulates. The incumbent prunes
-//! nodes whose relaxation bound cannot improve on it.
+//! bounds. Nodes are explored best-bound-first; branching picks the most
+//! fractional integer variable, with pseudo-cost scores once enough history
+//! accumulates. The incumbent prunes nodes whose relaxation bound cannot
+//! improve on it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -17,31 +17,9 @@ use crate::model::Model;
 use crate::simplex::{solve_lp_warm, SimplexOptions, WarmStart};
 use crate::standard::LpCore;
 
-/// Node-selection strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeOrder {
-    /// Explore the node with the best (lowest, for minimization) LP bound.
-    BestBound,
-    /// Classic stack-based depth-first search.
-    DepthFirst,
-}
-
-/// Variable-selection strategy at branching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchRule {
-    /// Pick the integer variable whose LP value is closest to 0.5 away from
-    /// an integer.
-    MostFractional,
-    /// Pseudo-cost branching with most-fractional fallback before history
-    /// exists.
-    PseudoCost,
-}
-
 /// Limits and strategy knobs for a MIP solve.
 #[derive(Debug, Clone)]
 pub struct MipOptions {
-    pub node_order: NodeOrder,
-    pub branch_rule: BranchRule,
     /// Absolute integrality tolerance.
     pub int_tol: f64,
     /// Stop when `(incumbent - bound) / max(1,|incumbent|)` drops below this.
@@ -79,8 +57,6 @@ pub struct MipOptions {
 impl Default for MipOptions {
     fn default() -> Self {
         MipOptions {
-            node_order: NodeOrder::BestBound,
-            branch_rule: BranchRule::PseudoCost,
             int_tol: 1e-6,
             rel_gap: 1e-9,
             time_limit: None,
@@ -135,16 +111,16 @@ impl MipResult {
 
 /// Chain of bound tightenings from the root to a node.
 #[derive(Debug)]
-pub(crate) struct BoundDelta {
-    pub var: u32,
-    pub lb: f64,
-    pub ub: f64,
-    pub parent: Option<Arc<BoundDelta>>,
+struct BoundDelta {
+    var: u32,
+    lb: f64,
+    ub: f64,
+    parent: Option<Arc<BoundDelta>>,
 }
 
 impl BoundDelta {
     /// Materialize full bound vectors starting from the root bounds.
-    pub fn materialize(node: &Option<Arc<BoundDelta>>, lb0: &[f64], ub0: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    fn materialize(node: &Option<Arc<BoundDelta>>, lb0: &[f64], ub0: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let mut lb = lb0.to_vec();
         let mut ub = ub0.to_vec();
         let mut cur = node.clone();
@@ -167,7 +143,6 @@ struct Node {
     delta: Option<Arc<BoundDelta>>,
     /// LP bound inherited from the parent (internal minimization sense).
     bound: f64,
-    depth: u32,
     /// The branching decision that created this node, for pseudo-cost
     /// updates: (variable, branched up?, parent fractionality).
     branched: Option<(u32, bool, f64)>,
@@ -202,15 +177,15 @@ impl Ord for HeapEntry {
 }
 
 /// Per-variable pseudo-cost history.
-pub(crate) struct PseudoCosts {
-    pub down_sum: Vec<f64>,
-    pub down_cnt: Vec<u32>,
-    pub up_sum: Vec<f64>,
-    pub up_cnt: Vec<u32>,
+struct PseudoCosts {
+    down_sum: Vec<f64>,
+    down_cnt: Vec<u32>,
+    up_sum: Vec<f64>,
+    up_cnt: Vec<u32>,
 }
 
 impl PseudoCosts {
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         PseudoCosts {
             down_sum: vec![0.0; n],
             down_cnt: vec![0; n],
@@ -219,7 +194,7 @@ impl PseudoCosts {
         }
     }
 
-    pub fn record(&mut self, var: usize, up: bool, degradation: f64, frac: f64) {
+    fn record(&mut self, var: usize, up: bool, degradation: f64, frac: f64) {
         let unit = if frac > 1e-9 { degradation / frac } else { degradation };
         if up {
             self.up_sum[var] += unit;
@@ -230,7 +205,7 @@ impl PseudoCosts {
         }
     }
 
-    pub fn score(&self, var: usize, frac: f64) -> Option<f64> {
+    fn score(&self, var: usize, frac: f64) -> Option<f64> {
         if self.down_cnt[var] == 0 || self.up_cnt[var] == 0 {
             return None;
         }
@@ -241,12 +216,13 @@ impl PseudoCosts {
     }
 }
 
-/// Pick the branching variable among fractional integers.
-pub(crate) fn select_branch_var(
+/// Pick the branching variable among fractional integers by pseudo-cost
+/// score. A variable without history in both directions scores its
+/// distance to the nearest integer, scaled down by 1000.
+fn select_branch_var(
     int_vars: &[usize],
     x: &[f64],
     int_tol: f64,
-    rule: BranchRule,
     pseudo: &PseudoCosts,
 ) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
@@ -257,10 +233,7 @@ pub(crate) fn select_branch_var(
         if dist <= int_tol {
             continue;
         }
-        let score = match rule {
-            BranchRule::MostFractional => dist,
-            BranchRule::PseudoCost => pseudo.score(v, frac).unwrap_or(dist * 1e-3),
-        };
+        let score = pseudo.score(v, frac).unwrap_or(dist * 1e-3);
         if score > best_score {
             best_score = score;
             best = Some((v, x[v]));
@@ -272,7 +245,7 @@ pub(crate) fn select_branch_var(
 /// Round a fractional LP point to the nearest integer point and accept it
 /// if it is feasible for the model. Cheap and surprisingly effective on
 /// assignment-style models.
-pub(crate) fn rounding_heuristic(model: &Model, x: &[f64], int_tol: f64) -> Option<Vec<f64>> {
+fn rounding_heuristic(model: &Model, x: &[f64], int_tol: f64) -> Option<Vec<f64>> {
     let mut cand = x.to_vec();
     for v in model.integer_vars() {
         cand[v.index()] = cand[v.index()].round();
@@ -403,7 +376,6 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
 
     let mut pseudo = PseudoCosts::new(n);
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    let mut stack: Vec<Node> = Vec::new();
 
     let mut incumbent: Option<Vec<f64>> = None;
     // Internal minimization objective of the incumbent.
@@ -419,17 +391,13 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
     let root = Node {
         delta: None,
         bound: f64::NEG_INFINITY,
-        depth: 0,
         branched: None,
         warm: None,
     };
-    match opts.node_order {
-        NodeOrder::BestBound => heap.push(HeapEntry {
-            order_key: f64::NEG_INFINITY,
-            node: root,
-        }),
-        NodeOrder::DepthFirst => stack.push(root),
-    }
+    heap.push(HeapEntry {
+        order_key: f64::NEG_INFINITY,
+        node: root,
+    });
 
     // Internal objective of a user-sense value.
     let to_internal = |user: f64| {
@@ -491,15 +459,8 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
             }
         }
 
-        let node = match opts.node_order {
-            NodeOrder::BestBound => match heap.pop() {
-                Some(e) => e.node,
-                None => break,
-            },
-            NodeOrder::DepthFirst => match stack.pop() {
-                Some(nd) => nd,
-                None => break,
-            },
+        let Some(HeapEntry { node, .. }) = heap.pop() else {
+            break;
         };
 
         // Prune against incumbent using the inherited bound.
@@ -568,7 +529,7 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
             continue; // bound-pruned after solving
         }
 
-        match select_branch_var(&int_vars, &sol.x, opts.int_tol, opts.branch_rule, &pseudo) {
+        match select_branch_var(&int_vars, &sol.x, opts.int_tol, &pseudo) {
             None => {
                 // Integer feasible: candidate incumbent.
                 if node_bound < incumbent_obj {
@@ -633,7 +594,6 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
                         parent: node.delta.clone(),
                     })),
                     bound: node_bound,
-                    depth: node.depth + 1,
                     branched: Some((bv as u32, false, frac)),
                     warm: child_warm.clone(),
                 };
@@ -645,48 +605,30 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
                         parent: node.delta.clone(),
                     })),
                     bound: node_bound,
-                    depth: node.depth + 1,
                     branched: Some((bv as u32, true, frac)),
                     warm: child_warm,
                 };
-                match opts.node_order {
-                    NodeOrder::BestBound => {
-                        heap.push(HeapEntry {
-                            order_key: node_bound,
-                            node: down,
-                        });
-                        heap.push(HeapEntry {
-                            order_key: node_bound,
-                            node: up,
-                        });
-                    }
-                    NodeOrder::DepthFirst => {
-                        // Explore the side nearest the LP value first.
-                        if frac <= 0.5 {
-                            stack.push(up);
-                            stack.push(down);
-                        } else {
-                            stack.push(down);
-                            stack.push(up);
-                        }
-                    }
-                }
+                heap.push(HeapEntry {
+                    order_key: node_bound,
+                    node: down,
+                });
+                heap.push(HeapEntry {
+                    order_key: node_bound,
+                    node: up,
+                });
             }
         }
 
         // Gap-based early stop (best-bound order keeps the heap top as the
         // global bound).
         if incumbent.is_some() {
-            let bound_now = match opts.node_order {
-                NodeOrder::BestBound => heap
-                    .peek()
-                    .map(|e| e.order_key)
-                    .unwrap_or(incumbent_obj)
-                    .max(best_bound_internal),
-                NodeOrder::DepthFirst => best_bound_internal,
-            };
+            let bound_now = heap
+                .peek()
+                .map(|e| e.order_key)
+                .unwrap_or(incumbent_obj)
+                .max(best_bound_internal);
             let gap = (incumbent_obj - bound_now).abs() / incumbent_obj.abs().max(1.0);
-            if matches!(opts.node_order, NodeOrder::BestBound) && gap <= opts.rel_gap {
+            if gap <= opts.rel_gap {
                 break;
             }
         }
@@ -694,13 +636,9 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
 
     // Final bound: open nodes' best key, else the incumbent itself.
     let final_bound_internal = if status_limit_hit {
-        match opts.node_order {
-            NodeOrder::BestBound => heap
-                .peek()
-                .map(|e| e.order_key.max(best_bound_internal))
-                .unwrap_or(incumbent_obj.min(best_bound_internal)),
-            NodeOrder::DepthFirst => best_bound_internal,
-        }
+        heap.peek()
+            .map(|e| e.order_key.max(best_bound_internal))
+            .unwrap_or(incumbent_obj.min(best_bound_internal))
     } else {
         incumbent_obj
     };
@@ -930,37 +868,6 @@ mod tests {
         let r = default_solve(&m);
         assert_eq!(r.status, MipStatus::Optimal);
         assert!((r.best_objective.unwrap() - 3.0).abs() < 1e-6); // 1 + 2
-    }
-
-    #[test]
-    fn depth_first_matches_best_bound() {
-        let mut m = Model::new();
-        let vals = [9.0, 14.0, 5.0, 7.0, 11.0];
-        let wts = [3.0, 5.0, 2.0, 3.0, 4.0];
-        let xs: Vec<_> = vals.iter().map(|&v| m.add_binary(v)).collect();
-        m.set_objective_direction(Objective::Maximize);
-        let mut e = crate::model::LinExpr::new();
-        for (x, &w) in xs.iter().zip(&wts) {
-            e.push(*x, w);
-        }
-        m.add_constraint(e, Sense::Le, 9.0).unwrap();
-        let best = default_solve(&m);
-        let dfs = solve_mip(
-            &m,
-            &MipOptions {
-                node_order: NodeOrder::DepthFirst,
-                ..MipOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(best.status, MipStatus::Optimal);
-        assert_eq!(dfs.status, MipStatus::Optimal);
-        assert!(
-            (best.best_objective.unwrap() - dfs.best_objective.unwrap()).abs() < 1e-6,
-            "bb={:?} dfs={:?}",
-            best.best_objective,
-            dfs.best_objective
-        );
     }
 
     #[test]

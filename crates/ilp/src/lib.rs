@@ -13,26 +13,20 @@
 //!   ([`BasisBackend::SparseLu`]), with the explicit dense inverse
 //!   ([`BasisBackend::Dense`]) retained as a reference/fallback for tiny
 //!   or pathologically dense bases,
-//! * a [`presolve`] pass (fixings, singleton rows, redundancy),
-//! * serial ([`branch`]) and work-stealing parallel ([`parallel`])
-//!   branch-and-bound MIP drivers, both of which **warm-start** each
-//!   child node's LP from the parent's optimal basis (a short dual
-//!   simplex repairs primal feasibility, skipping phase 1),
-//! * optional cutting planes ([`cuts`]): knapsack covers and Gomory
-//!   fractional cuts,
+//! * a serial best-bound branch-and-bound MIP engine ([`branch`]) with
+//!   pseudo-cost branching that **warm-starts** each child node's LP from
+//!   the parent's optimal basis (a short dual simplex repairs primal
+//!   feasibility, skipping phase 1),
 //! * a brute-force reference solver ([`brute`]) used to validate the
 //!   engines on small instances.
 
 pub mod branch;
 pub mod brute;
 pub mod control;
-pub mod cuts;
 pub mod error;
 pub mod io;
 pub mod linalg;
 pub mod model;
-pub mod parallel;
-pub mod presolve;
 pub mod simplex;
 pub mod standard;
 

@@ -1,13 +1,10 @@
-//! Property tests validating the MIP engines against the brute-force
+//! Property tests validating the MIP engine against the brute-force
 //! oracle on randomly generated small integer programs.
 
-use gmm_ilp::branch::{solve_mip, BranchRule, MipOptions, NodeOrder};
+use gmm_ilp::branch::{solve_mip, MipOptions};
 use gmm_ilp::brute::solve_brute;
-use gmm_ilp::cuts::{solve_mip_with_cuts, CutOptions};
 use gmm_ilp::error::MipStatus;
 use gmm_ilp::model::{LinExpr, Model, Objective, Sense};
-use gmm_ilp::parallel::{solve_mip_parallel, ParallelOptions};
-use gmm_ilp::presolve::{presolve, PresolveOutcome};
 use proptest::prelude::*;
 
 /// Generator for small random pure-binary models.
@@ -83,79 +80,6 @@ proptest! {
                      got.best_objective, oracle.best_objective);
         if let Some(x) = &got.best_solution {
             prop_assert!(model.check_feasible(x, 1e-6).is_ok());
-        }
-    }
-
-    #[test]
-    fn depth_first_bnb_matches_brute_force(model in binary_model_strategy()) {
-        let oracle = solve_brute(&model);
-        let opts = MipOptions {
-            node_order: NodeOrder::DepthFirst,
-            branch_rule: BranchRule::MostFractional,
-            ..MipOptions::default()
-        };
-        let got = solve_mip(&model, &opts).unwrap();
-        prop_assert!(objectives_match(got.best_objective, oracle.best_objective),
-                     "objective mismatch: got {:?}, oracle {:?}",
-                     got.best_objective, oracle.best_objective);
-    }
-
-    #[test]
-    fn parallel_bnb_matches_brute_force(model in binary_model_strategy()) {
-        let oracle = solve_brute(&model);
-        let got = solve_mip_parallel(&model, &ParallelOptions {
-            threads: 3,
-            ..ParallelOptions::default()
-        }).unwrap();
-        prop_assert!(objectives_match(got.best_objective, oracle.best_objective),
-                     "objective mismatch: got {:?}, oracle {:?}",
-                     got.best_objective, oracle.best_objective);
-    }
-
-    #[test]
-    fn cuts_do_not_change_optimum(model in binary_model_strategy()) {
-        let oracle = solve_brute(&model);
-        let got = solve_mip_with_cuts(
-            &model,
-            &MipOptions::default(),
-            &CutOptions::default(),
-        ).unwrap();
-        prop_assert!(objectives_match(got.best_objective, oracle.best_objective),
-                     "objective mismatch with cuts: got {:?}, oracle {:?}",
-                     got.best_objective, oracle.best_objective);
-    }
-
-    #[test]
-    fn presolve_preserves_optimum(model in binary_model_strategy()) {
-        let oracle = solve_brute(&model);
-        match presolve(&model) {
-            PresolveOutcome::Infeasible(_) => {
-                prop_assert_eq!(oracle.status, MipStatus::Infeasible);
-            }
-            PresolveOutcome::Reduced(p) => {
-                if p.model.num_vars() == 0 {
-                    // Everything fixed: the fixed point must be the optimum
-                    // if feasible.
-                    let full = p.postsolve(&[]);
-                    match oracle.best_objective {
-                        Some(expect) => {
-                            prop_assert!(model.check_feasible(&full, 1e-6).is_ok());
-                            prop_assert!((model.objective_value(&full) - expect).abs() < 1e-6);
-                        }
-                        None => prop_assert!(model.check_feasible(&full, 1e-6).is_err()),
-                    }
-                    return Ok(());
-                }
-                let reduced = solve_mip(&p.model, &MipOptions::default()).unwrap();
-                prop_assert!(objectives_match(reduced.best_objective, oracle.best_objective),
-                             "presolve changed optimum: {:?} vs {:?}",
-                             reduced.best_objective, oracle.best_objective);
-                if let Some(xr) = &reduced.best_solution {
-                    let full = p.postsolve(xr);
-                    prop_assert!(model.check_feasible(&full, 1e-6).is_ok(),
-                                 "postsolved point infeasible");
-                }
-            }
         }
     }
 }

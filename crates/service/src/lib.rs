@@ -9,8 +9,7 @@
 //!
 //! * [`queue`] — a sharded, work-stealing [`JobQueue`]: instances are
 //!   hashed onto per-worker shard injectors, workers drain their shard
-//!   into private LIFO deques and steal from siblings when dry (the
-//!   `crossbeam::deque` arrangement of `gmm_ilp::parallel`, one level up);
+//!   into private LIFO deques and steal from siblings when dry;
 //! * [`cache`] — a content-addressed [`SolutionCache`]: solved instances
 //!   are keyed by a canonical [`hash`] of the `(design, board, config)`
 //!   triple, so repeated or textually-different-but-identical submissions

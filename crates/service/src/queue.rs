@@ -3,9 +3,7 @@
 //! Jobs (one mapping instance each) are hashed onto per-worker **shard
 //! injectors**; every worker drains its own shard into a private LIFO deque
 //! and, when dry, steals first from other shards and then from sibling
-//! workers' deques — the same `crossbeam::deque` arrangement the parallel
-//! branch-and-bound driver in `gmm_ilp::parallel` uses for tree nodes,
-//! lifted one level up to whole instances. Sharding keeps submission
+//! workers' `crossbeam::deque` deques. Sharding keeps submission
 //! contention off a single queue head under heavy traffic; stealing keeps
 //! workers busy when the shard hash is unlucky.
 //!

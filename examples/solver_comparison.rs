@@ -1,7 +1,6 @@
 //! Solver comparison: run the same design point through (a) the complete
-//! one-step ILP, (b) the serial global/detailed pipeline, and (c) the
-//! work-stealing parallel global/detailed pipeline — the Table 3 story in
-//! miniature, plus the parallel extension.
+//! one-step ILP and (b) the global/detailed pipeline — the Table 3 story
+//! in miniature.
 //!
 //! ```sh
 //! cargo run --release --example solver_comparison [point]
@@ -10,7 +9,6 @@
 use fpga_memmap::prelude::*;
 use fpga_memmap::workloads::{table3_board, table3_design, TABLE3};
 use gmm_ilp::branch::MipOptions;
-use gmm_ilp::parallel::ParallelOptions;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -55,36 +53,16 @@ fn main() {
         Err(e) => println!("complete:           {:>8.2?}  (capped: {e})", t.elapsed()),
     }
 
-    // (b) Serial global/detailed.
+    // (b) Global/detailed.
     let mut opts = MapperOptions::new();
-    opts.backend = SolverBackend::Serial(capped_mip.clone());
+    opts.backend = SolverBackend::Serial(capped_mip);
     let mapper = Mapper::new(opts);
     let t = Instant::now();
-    let serial = mapper.map(&design, &board).expect("global/detailed solves");
+    let mapping = mapper.map(&design, &board).expect("global/detailed solves");
     println!(
         "global/detailed:    {:>8.2?}  (cost {:.0}, {} fragments)",
         t.elapsed(),
-        serial.cost.weighted(&CostWeights::default()),
-        serial.detailed.fragments.len()
+        mapping.cost.weighted(&CostWeights::default()),
+        mapping.detailed.fragments.len()
     );
-
-    // (c) Parallel global/detailed.
-    let mut opts = MapperOptions::new();
-    opts.backend = SolverBackend::Parallel(ParallelOptions {
-        threads: 0, // auto
-        mip: capped_mip,
-    });
-    let mapper = Mapper::new(opts);
-    let t = Instant::now();
-    let parallel = mapper.map(&design, &board).expect("parallel solves");
-    println!(
-        "parallel g/d:       {:>8.2?}  (cost {:.0})",
-        t.elapsed(),
-        parallel.cost.weighted(&CostWeights::default())
-    );
-
-    let ws = serial.cost.weighted(&CostWeights::default());
-    let wp = parallel.cost.weighted(&CostWeights::default());
-    assert!((ws - wp).abs() < 1e-6, "both engines find the same optimum");
-    println!("\nserial and parallel engines agree on the optimal cost ({ws:.0}).");
 }

@@ -14,7 +14,7 @@
 //! |-------|----------|
 //! | [`gmm_api`] | the unified solve-session facade: `MapRequest`/`MapReport`, deadlines, cancellation, progress events |
 //! | [`gmm_core`] | pre-processing (Fig. 2/3), global ILP (§4.1), detailed mappers (§4.2), complete one-step baseline, cost model, pipeline |
-//! | [`gmm_ilp`] | MILP solver: bounded simplex, presolve, serial + work-stealing parallel branch-and-bound, cuts (replaces CPLEX) |
+//! | [`gmm_ilp`] | MILP solver: bounded simplex and serial best-bound branch-and-bound (replaces CPLEX) |
 //! | [`gmm_arch`] | bank types, Table 1 device catalog, boards |
 //! | [`gmm_design`] | data segments, access profiles, lifetimes, conflicts |
 //! | [`gmm_heur`] | greedy first-fit heuristic mapper and the `SolveMode` portfolio (heuristic seeds branch-and-bound) |

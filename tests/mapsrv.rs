@@ -224,3 +224,30 @@ fn mapsrv_survives_malformed_and_unknown_requests() {
     client.shutdown().expect("shutdown");
     server.join();
 }
+
+#[test]
+fn mapsrv_answers_hostile_nesting_with_an_error_and_keeps_serving() {
+    let (server, mut client) = start_server();
+
+    // One line of 200k `[` used to overflow the connection thread's stack
+    // and abort the daemon. It must get one error frame, and the same
+    // connection must go on answering.
+    let stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer.write_all("[".repeat(200_000).as_bytes()).unwrap();
+    writer.write_all(b"\n{\"verb\":\"stats\"}\n").unwrap();
+    writer.flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"ok\":false") && line.contains("nesting deeper than"),
+        "expected a nesting error frame, got {line:?}"
+    );
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true") && line.contains("\"stats\""), "got {line:?}");
+
+    client.shutdown().expect("shutdown");
+    server.join();
+}
