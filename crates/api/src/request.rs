@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gmm_arch::Board;
-use gmm_core::pipeline::{DetailedStrategy, Mapper, MapperOptions, MappingOutcome};
+use gmm_core::pipeline::{DetailedStrategy, MapRun, Mapper, MapperOptions, MappingOutcome};
 use gmm_core::{CostMatrix, CostWeights, MapError, PreTable, SolverBackend};
 use gmm_design::Design;
 use gmm_heur::{greedy_map_with, greedy_solve_with, HeurInfeasible, HeurOptions, HeurSolution, SolveMode};
@@ -85,9 +85,10 @@ impl MapRequest {
         }
     }
 
-    /// Which engine(s) run: the exact ILP (default), the greedy heuristic
-    /// alone, or the portfolio (heuristic first, its assignment seeded as
-    /// the branch-and-bound incumbent, ILP second for the proof). Under
+    /// Which engine(s) run: the exact ILP (default; the greedy assignment
+    /// only starts its root LP), the greedy heuristic alone, or the
+    /// portfolio (heuristic first, its assignment seeded as the
+    /// branch-and-bound incumbent, ILP second for the proof). Under
     /// `Portfolio`, a heuristic seed overrides any [`MapRequest::warm_hint`]
     /// — the instance-exact greedy answer dominates a sibling's.
     pub fn solve_mode(mut self, mode: SolveMode) -> Self {
@@ -212,22 +213,37 @@ impl MapRequest {
     /// failures (see [`ApiError`]).
     pub fn execute(&self) -> Result<MapReport, ApiError> {
         match self.mode {
-            SolveMode::Ilp => self.execute_ilp(None),
+            SolveMode::Ilp => self.execute_ilp(),
             SolveMode::Heuristic => Ok(self.execute_heuristic()),
             SolveMode::Portfolio => self.execute_portfolio(),
         }
     }
 
-    /// The exact pipeline, optionally with a greedy solution installed as
-    /// the branch-and-bound incumbent seed.
-    fn execute_ilp(&self, seed: Option<&HeurSolution>) -> Result<MapReport, ApiError> {
+    /// The exact pipeline. The greedy assignment, when there is one, only
+    /// starts the root LP at its vertex ([`MapperOptions::start_hint`]):
+    /// it is not an incumbent, so the report carries no heuristic figures.
+    fn execute_ilp(&self) -> Result<MapReport, ApiError> {
         let t0 = Instant::now();
+        self.options.control.phase("preprocess");
+        let pre = PreTable::build(&self.design, &self.board);
+        let matrix = CostMatrix::build(&self.design, &self.board, &pre);
+        let greedy =
+            greedy_solve_with(&self.design, &self.board, &pre, &matrix, &self.heur_options(), &[]);
         let mut mapper_options = self.options.clone();
-        if let Some(sol) = seed {
-            mapper_options.warm_hint =
-                Some(sol.assignment.type_of.iter().map(|t| t.0 as u32).collect());
-        }
-        let run = Mapper::new(mapper_options).map_run(&self.design, &self.board);
+        mapper_options.start_hint = greedy.ok().map(|sol| type_indices(&sol));
+        let run =
+            Mapper::new(mapper_options).map_run_with(&self.design, &self.board, &pre, &matrix);
+        self.ilp_report(run, None, t0)
+    }
+
+    /// The report of a finished exact pipeline run that began at `t0`;
+    /// `heuristic_objective` is the seeding greedy answer's, if any.
+    fn ilp_report(
+        &self,
+        run: MapRun,
+        heuristic_objective: Option<f64>,
+        t0: Instant,
+    ) -> Result<MapReport, ApiError> {
         let total_time = t0.elapsed();
         let stats = run.stats;
 
@@ -246,7 +262,7 @@ impl MapRequest {
             refactorizations: stats.refactorizations,
             eta_nnz_peak: stats.eta_nnz_peak,
             incumbent_seeded: stats.incumbent_seeded,
-            heuristic_objective: seed.map(|s| s.objective),
+            heuristic_objective,
             proved_optimal_from_heuristic: false,
         };
         match run.result {
@@ -343,7 +359,12 @@ impl MapRequest {
         let seed =
             greedy_solve_with(&self.design, &self.board, &pre, &matrix, &heur_options, &[]).ok();
 
-        let mut report = self.execute_ilp(seed.as_ref())?;
+        let mut mapper_options = self.options.clone();
+        if let Some(sol) = &seed {
+            mapper_options.warm_hint = Some(type_indices(sol));
+        }
+        let run = Mapper::new(mapper_options).map_run(&self.design, &self.board);
+        let mut report = self.ilp_report(run, seed.as_ref().map(|s| s.objective), t0)?;
         if report.termination == Termination::DeadlineExceeded {
             if report.outcome.is_some() {
                 // The tree ran out of time but an incumbent mapping exists:
@@ -368,4 +389,9 @@ impl MapRequest {
         report.total_time = t0.elapsed();
         Ok(report)
     }
+}
+
+/// A greedy answer in the hint encoding: bank type index per segment.
+fn type_indices(sol: &HeurSolution) -> Vec<u32> {
+    sol.assignment.type_of.iter().map(|t| t.0 as u32).collect()
 }

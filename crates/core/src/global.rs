@@ -186,6 +186,25 @@ pub struct GlobalModel {
     pub z: Vec<Vec<Option<VarId>>>,
 }
 
+impl GlobalModel {
+    /// The model point of an assignment (`types[d]` = bank type index of
+    /// segment `d`), or `None` when it has the wrong length or names a
+    /// pair this model has no variable for. Every variable of the model
+    /// is some `Z_dt`, so setting the assigned pairs to 1.0 over a zero
+    /// vector describes the assignment exactly.
+    pub fn point(&self, types: &[u32]) -> Option<Vec<f64>> {
+        if types.len() != self.z.len() {
+            return None;
+        }
+        let mut x = vec![0.0; self.model.num_vars()];
+        for (row, &t) in self.z.iter().zip(types) {
+            let var = row.get(t as usize).copied().flatten()?;
+            x[var.index()] = 1.0;
+        }
+        Some(x)
+    }
+}
+
 /// Build the §4.1 ILP.
 ///
 /// `overlap_aware` activates the lifetime-based capacity modification; it
@@ -341,18 +360,27 @@ pub fn solve_global_with_stats(
         overlap_aware,
         no_goods,
         None,
+        None,
     )
 }
 
-/// [`solve_global_with_stats`] with an optional warm-start hint: a
-/// sibling instance's global assignment (`hint[d]` = bank type index of
-/// segment `d`), typically retrieved from the service's persistent
-/// family-keyed hint store. The hint is translated onto this model's
-/// `Z_dt` variables and offered to the engine as an incumbent seed;
-/// it is dropped without effect when it does not fit (wrong segment
-/// count, a hinted pair infeasible here) or fails the engine's own
-/// feasibility re-check (e.g. against a no-good cut the sibling never
-/// had). [`SolveTelemetry::incumbent_seeded`] reports acceptance.
+/// [`solve_global_with_stats`] with optional hints, each an assignment
+/// (`hint[d]` = bank type index of segment `d`):
+///
+/// * `hint` — a sibling instance's assignment, typically retrieved from
+///   the service's persistent family-keyed hint store, offered to the
+///   engine as an incumbent seed
+///   ([`MipOptions::incumbent_seed`](gmm_ilp::branch::MipOptions::incumbent_seed)).
+///   [`SolveTelemetry::incumbent_seeded`] reports acceptance.
+/// * `start` — this instance's own feasible assignment (the greedy
+///   answer), used only as the root LP's starting vertex
+///   ([`MipOptions::root_start`](gmm_ilp::branch::MipOptions::root_start)) and never
+///   as the incumbent. An accepted `hint` takes precedence.
+///
+/// Either hint is dropped without effect when it does not fit (wrong
+/// segment count, a hinted pair infeasible here) or fails the engine's
+/// own feasibility re-check (e.g. against a no-good cut the sibling, or
+/// the first attempt, never had).
 #[allow(clippy::too_many_arguments)]
 pub fn solve_global_hinted_with_stats(
     design: &Design,
@@ -364,35 +392,22 @@ pub fn solve_global_hinted_with_stats(
     overlap_aware: bool,
     no_goods: &[NoGood],
     hint: Option<&[u32]>,
+    start: Option<&[u32]>,
 ) -> Result<(GlobalAssignment, SolveTelemetry), (MapError, SolveTelemetry)> {
     let gm = match build_global_model(design, board, pre, matrix, weights, overlap_aware, no_goods)
     {
         Ok(gm) => gm,
         Err(e) => return Err((e, SolveTelemetry::default())),
     };
-    // Translate the hinted assignment into a full model point. Every
-    // variable of the global model is some `Z_dt`, so setting the hinted
-    // pairs to 1.0 over a zero vector describes the assignment exactly.
-    let seed = hint.and_then(|types| {
-        if types.len() != design.num_segments() {
-            return None;
-        }
-        let mut x = vec![0.0; gm.model.num_vars()];
-        for (d, &t) in types.iter().enumerate() {
-            let var = gm.z.get(d)?.get(t as usize).copied().flatten()?;
-            x[var.index()] = 1.0;
-        }
-        Some(x)
-    });
-    let result = match seed {
-        Some(x) => {
-            let mut seeded_backend = backend.clone();
-            seeded_backend.mip_options_mut().incumbent_seed = Some(x);
-            seeded_backend.solve(&gm.model)
-        }
-        None => backend.solve(&gm.model),
-    };
-    let result = match result {
+    let mut backend = backend.clone();
+    let mip = backend.mip_options_mut();
+    if let Some(x) = hint.and_then(|types| gm.point(types)) {
+        mip.incumbent_seed = Some(x);
+    }
+    if let Some(x) = start.and_then(|types| gm.point(types)) {
+        mip.root_start = Some(x);
+    }
+    let result = match backend.solve(&gm.model) {
         Ok(r) => r,
         Err(e) => return Err((MapError::from(e), SolveTelemetry::default())),
     };
@@ -634,7 +649,7 @@ mod tests {
         // be accepted and the outcome must be identical.
         let hint: Vec<u32> = cold.type_of.iter().map(|t| t.0 as u32).collect();
         let (warm, warm_tel) = solve_global_hinted_with_stats(
-            &design, &board, &pre, &matrix, &w, &backend, false, &[], Some(&hint),
+            &design, &board, &pre, &matrix, &w, &backend, false, &[], Some(&hint), None,
         )
         .unwrap();
         assert_eq!(warm_tel.incumbent_seeded, 1, "own optimum must seed");
@@ -643,7 +658,7 @@ mod tests {
 
         // A mis-sized hint is dropped without harming the solve.
         let (dropped, dropped_tel) = solve_global_hinted_with_stats(
-            &design, &board, &pre, &matrix, &w, &backend, false, &[], Some(&[0u32]),
+            &design, &board, &pre, &matrix, &w, &backend, false, &[], Some(&[0u32]), None,
         )
         .unwrap();
         assert_eq!(dropped_tel.incumbent_seeded, 0);

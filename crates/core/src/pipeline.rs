@@ -46,6 +46,7 @@ pub enum DetailedStrategy {
 /// | `node_budget` | none |
 /// | `control` | no token, no observer |
 /// | `warm_hint` | none |
+/// | `start_hint` | none |
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct MapperOptions {
@@ -73,6 +74,12 @@ pub struct MapperOptions {
     /// silently dropped when it does not fit) by the solver — see
     /// [`crate::global::solve_global_hinted_with_stats`].
     pub warm_hint: Option<Vec<u32>>,
+    /// Start-only hint: a feasible assignment of *this* instance (same
+    /// encoding as `warm_hint`), used on every attempt as the starting
+    /// vertex of the global ILP's root LP and never as its incumbent. An
+    /// accepted `warm_hint` takes precedence, and a start that is
+    /// infeasible for an attempt (e.g. after a no-good cut) is dropped.
+    pub start_hint: Option<Vec<u32>>,
 }
 
 impl MapperOptions {
@@ -235,6 +242,7 @@ impl Mapper {
                 self.options.overlap_aware,
                 &no_goods,
                 self.options.warm_hint.as_deref(),
+                self.options.start_hint.as_deref(),
             );
             stats.global_time += t0.elapsed();
             let global = match solved {

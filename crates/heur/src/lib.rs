@@ -7,7 +7,8 @@
 //! This crate provides that fast path plus the [`SolveMode`] enum the rest
 //! of the stack (api → service → CLI) threads through:
 //!
-//! * [`SolveMode::Ilp`] — the classic exact pipeline, unchanged.
+//! * [`SolveMode::Ilp`] — the exact pipeline; the greedy assignment only
+//!   starts the root LP at its vertex (`MipOptions.root_start`).
 //! * [`SolveMode::Heuristic`] — greedy only; feasible, not proved optimal.
 //! * [`SolveMode::Portfolio`] — greedy first, its assignment installed as
 //!   the branch-and-bound incumbent (`MipOptions.incumbent_seed`), then the
@@ -46,7 +47,12 @@ use serde::{Deserialize, Serialize};
 /// CLI `--solve-mode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SolveMode {
-    /// Exact ILP pipeline only (the default; matches historical behavior).
+    /// Exact ILP pipeline (the default). The greedy assignment, when it
+    /// exists, serves only as the root LP's starting vertex
+    /// (`MipOptions.root_start`), which skips phase 1 there. It is never
+    /// the incumbent: the report shows no seed and no heuristic objective,
+    /// and the answer is the same optimum as a cold start, though a tie
+    /// between equal-cost optima may resolve differently.
     #[default]
     Ilp,
     /// Greedy heuristic only: microsecond answers, `Feasible` termination,

@@ -34,7 +34,8 @@ pub struct MipOptions {
     pub rounding_heuristic: bool,
     /// Run a depth-limited diving heuristic at the root to find an early
     /// incumbent (valuable on large models that would otherwise time out
-    /// with no solution at all).
+    /// with no solution at all). Its first LP starts from the root's
+    /// optimal basis.
     pub diving: bool,
     /// Warm-start each node's LP from its parent's optimal basis
     /// (skipping phase 1 via a short dual-simplex repair). Disable to
@@ -48,6 +49,15 @@ pub struct MipOptions {
     /// against *this* model, and the objective is recomputed; an
     /// infeasible or mis-sized seed is silently discarded.
     pub incumbent_seed: Option<Vec<f64>>,
+    /// A feasible integer point (model variable order) to start the root
+    /// LP from, when no [`MipOptions::incumbent_seed`] was accepted: the
+    /// root then begins at the slack basis of that vertex
+    /// ([`WarmStart::at_vertex`]) and skips phase 1. Only the root's
+    /// starting basis changes; the point is never installed as the
+    /// incumbent. Ignored unless it passes the model's feasibility check
+    /// and every entry sits exactly on a bound, and ignored with
+    /// `warm_start` off.
+    pub root_start: Option<Vec<f64>>,
     /// Cooperative cancellation and progress reporting. The token is
     /// polled once per node here and every few pivots inside the LP;
     /// the observer hears incumbent updates and a node heartbeat.
@@ -66,6 +76,7 @@ impl Default for MipOptions {
             diving: true,
             warm_start: true,
             incumbent_seed: None,
+            root_start: None,
             control: SolveControl::default(),
         }
     }
@@ -84,12 +95,14 @@ pub struct MipResult {
     /// Relative optimality gap at termination.
     pub gap: f64,
     pub nodes_explored: u64,
+    /// Simplex pivots across all node LPs and the root dive's LPs.
     pub lp_iterations: u64,
-    /// Nodes whose LP accepted a parent warm-start basis and skipped
-    /// phase 1 entirely.
+    /// Non-root nodes whose LP accepted a parent warm-start basis and
+    /// skipped phase 1 entirely.
     pub warm_started_nodes: u64,
-    /// Basis refactorizations across all node LPs (each LP counts its
-    /// initial factorization plus every scheduled or eta-budget rebuild).
+    /// Basis refactorizations across all node LPs and the root dive's
+    /// LPs (each LP counts its initial factorization plus every scheduled
+    /// or eta-budget rebuild).
     pub refactorizations: u64,
     /// Worst eta-file fill-in (nonzeros) any single node LP reached.
     pub eta_nnz_peak: u64,
@@ -256,9 +269,24 @@ fn rounding_heuristic(model: &Model, x: &[f64], int_tol: f64) -> Option<Vec<f64>
     }
 }
 
+/// What the root dive found, and the LP work it spent.
+#[derive(Debug, Default)]
+struct Dive {
+    /// The integer-feasible point reached, if any.
+    point: Option<Vec<f64>>,
+    /// LPs solved, and how many of them accepted their starting basis.
+    lps: u64,
+    warm_lps: u64,
+    iterations: u64,
+    refactorizations: u64,
+}
+
 /// Depth-limited diving heuristic: repeatedly fix the fractional integer
 /// variable *closest* to integrality at its rounded value and re-solve the
-/// LP; returns the first integer-feasible point found.
+/// LP, stopping at the first integer-feasible point. Each step tightens
+/// one bound, so each LP warm-starts from the previous one's basis,
+/// exactly like a branch-and-bound edge; the first starts from `warm`,
+/// the basis of the LP that produced `start_x`.
 #[allow(clippy::too_many_arguments)]
 fn dive(
     core: &LpCore,
@@ -267,16 +295,15 @@ fn dive(
     lb0: &[f64],
     ub0: &[f64],
     start_x: &[f64],
+    mut warm: Option<WarmStart>,
     sx: &SimplexOptions,
     int_tol: f64,
     max_lps: usize,
-) -> Option<Vec<f64>> {
+) -> Dive {
     let mut lb = lb0.to_vec();
     let mut ub = ub0.to_vec();
     let mut x = start_x.to_vec();
-    // Each dive step tightens one bound: warm-start from the previous
-    // step's basis, exactly like a branch-and-bound edge.
-    let mut warm: Option<WarmStart> = None;
+    let mut out = Dive::default();
     for _ in 0..max_lps {
         let mut pick: Option<(usize, f64)> = None;
         let mut best = f64::INFINITY;
@@ -289,24 +316,31 @@ fn dive(
             }
         }
         let Some((v, xv)) = pick else {
-            let mut cand = x.clone();
+            let mut cand = x;
             for &v in int_vars {
                 cand[v] = cand[v].round();
             }
-            return model.check_feasible(&cand, 1e-6).ok().map(|()| cand);
+            out.point = model.check_feasible(&cand, 1e-6).ok().map(|()| cand);
+            return out;
         };
         let fixed = xv.round().clamp(lb[v], ub[v]);
         lb[v] = fixed;
         ub[v] = fixed;
-        match solve_lp_warm(core, &lb, &ub, sx, warm.as_ref()) {
-            Ok(s) if s.status == LpStatus::Optimal => {
-                x = s.x;
-                warm = s.snapshot.as_ref().and_then(|snap| snap.warm_start());
-            }
-            _ => return None, // infeasible dive or deadline: give up
+        // An infeasible dive or a deadline gives up.
+        let Ok(s) = solve_lp_warm(core, &lb, &ub, sx, warm.as_ref()) else {
+            return out;
+        };
+        out.lps += 1;
+        out.warm_lps += s.warm_started as u64;
+        out.iterations += s.iterations as u64;
+        out.refactorizations += s.refactorizations;
+        if s.status != LpStatus::Optimal {
+            return out;
         }
+        x = s.x;
+        warm = s.snapshot.and_then(|snap| snap.warm_start());
     }
-    None
+    out
 }
 
 /// Solve a mixed-integer program.
@@ -388,17 +422,6 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
     let mut status_limit_hit = false;
     let mut stop_reason: Option<StopReason> = None;
 
-    let root = Node {
-        delta: None,
-        bound: f64::NEG_INFINITY,
-        branched: None,
-        warm: None,
-    };
-    heap.push(HeapEntry {
-        order_key: f64::NEG_INFINITY,
-        node: root,
-    });
-
     // Internal objective of a user-sense value.
     let to_internal = |user: f64| {
         let v = user - core.obj_offset;
@@ -416,6 +439,7 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
     // constraint this model has and the sibling did not (e.g. a no-good
     // cut added on retry), or carry a stale objective — round, check
     // feasibility against this model, and recompute the objective here.
+    let feas_tol = opts.int_tol.max(1e-7) * 10.0;
     let mut incumbent_seeded = false;
     if let Some(seed) = &opts.incumbent_seed {
         if seed.len() == n {
@@ -423,7 +447,7 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
             for &v in &int_vars {
                 cand[v] = cand[v].round();
             }
-            if model.check_feasible(&cand, opts.int_tol.max(1e-7) * 10.0).is_ok() {
+            if model.check_feasible(&cand, feas_tol).is_ok() {
                 incumbent_obj = to_internal(model.objective_value(&cand));
                 incumbent = Some(cand);
                 incumbent_seeded = true;
@@ -431,6 +455,32 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
             }
         }
     }
+
+    // Start the root LP at a known feasible vertex when there is one: the
+    // accepted seed, else a feasible `root_start`. Its slack basis is
+    // primal feasible, so the root skips phase 1. Among equal-cost optima
+    // the search keeps the first incumbent it finds, so the starting
+    // vertex can decide which of them is returned.
+    let vertex_basis = |x: &Vec<f64>| WarmStart::at_vertex(x, &lb0, &ub0, core.num_rows());
+    let root_warm = if opts.warm_start {
+        incumbent.as_ref().and_then(vertex_basis).or_else(|| {
+            opts.root_start
+                .as_ref()
+                .filter(|x| x.len() == n && model.check_feasible(x, feas_tol).is_ok())
+                .and_then(vertex_basis)
+        })
+    } else {
+        None
+    };
+    heap.push(HeapEntry {
+        order_key: f64::NEG_INFINITY,
+        node: Node {
+            delta: None,
+            bound: f64::NEG_INFINITY,
+            branched: None,
+            warm: root_warm.map(Arc::new),
+        },
+    });
 
     let mut best_bound_internal = f64::NEG_INFINITY;
     let mut root_infeasible = false;
@@ -488,7 +538,7 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
         lp_iters += sol.iterations as u64;
         refactors += sol.refactorizations;
         eta_peak = eta_peak.max(sol.eta_nnz_peak);
-        if sol.warm_started {
+        if sol.warm_started && node.branched.is_some() {
             warm_nodes += 1;
         }
         opts.control.node_tick(nodes);
@@ -544,18 +594,23 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
                 }
             }
             Some((bv, xv)) => {
+                let basis = sol.snapshot.as_ref().and_then(|s| s.warm_start());
                 if opts.diving && nodes == 1 && incumbent.is_none() {
-                    if let Some(cand) = dive(
+                    let d = dive(
                         &core,
                         model,
                         &int_vars,
                         &lb,
                         &ub,
                         &sol.x,
+                        basis.clone(),
                         &simplex_opts,
                         opts.int_tol,
                         40,
-                    ) {
+                    );
+                    lp_iters += d.iterations;
+                    refactors += d.refactorizations;
+                    if let Some(cand) = d.point {
                         let obj = to_internal(model.objective_value(&cand));
                         if obj < incumbent_obj {
                             incumbent_obj = obj;
@@ -578,10 +633,7 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
                 let frac = xv - floor;
                 // Both children warm-start from this node's optimal basis.
                 let child_warm = if opts.warm_start {
-                    sol.snapshot
-                        .as_ref()
-                        .and_then(|s| s.warm_start())
-                        .map(Arc::new)
+                    basis.map(Arc::new)
                 } else {
                     None
                 };
@@ -872,14 +924,7 @@ mod tests {
 
     #[test]
     fn node_limit_reports_feasible_or_unknown() {
-        let mut m = Model::new();
-        let xs: Vec<_> = (0..12).map(|i| m.add_binary(1.0 + (i % 3) as f64)).collect();
-        m.set_objective_direction(Objective::Maximize);
-        let mut e = crate::model::LinExpr::new();
-        for (i, x) in xs.iter().enumerate() {
-            e.push(*x, 1.0 + (i % 4) as f64);
-        }
-        m.add_constraint(e, Sense::Le, 11.3).unwrap();
+        let m = fractional_knapsack();
         let r = solve_mip(
             &m,
             &MipOptions {
@@ -968,6 +1013,122 @@ mod tests {
         );
     }
 
+    /// max Σ (1 + i%3)·xᵢ  s.t.  Σ (1 + i%4)·xᵢ ≤ 11.3 over 12 binaries:
+    /// the root LP is fractional and one node cannot close the tree.
+    fn fractional_knapsack() -> Model {
+        let mut m = Model::new();
+        let xs: Vec<_> = (0..12).map(|i| m.add_binary(1.0 + (i % 3) as f64)).collect();
+        m.set_objective_direction(Objective::Maximize);
+        let mut e = crate::model::LinExpr::new();
+        for (i, x) in xs.iter().enumerate() {
+            e.push(*x, 1.0 + (i % 4) as f64);
+        }
+        m.add_constraint(e, Sense::Le, 11.3).unwrap();
+        m
+    }
+
+    #[test]
+    fn root_dive_starts_from_the_root_basis_and_its_pivots_count() {
+        let m = fractional_knapsack();
+        // Only the root node, so the two solves differ by the dive alone.
+        let root_only = MipOptions {
+            node_limit: Some(1),
+            rounding_heuristic: false,
+            ..MipOptions::default()
+        };
+        let dived = solve_mip(&m, &root_only).unwrap();
+        let undived = solve_mip(
+            &m,
+            &MipOptions {
+                diving: false,
+                ..root_only
+            },
+        )
+        .unwrap();
+        assert_eq!(dived.nodes_explored, 1);
+        assert!(dived.best_objective.is_some(), "the dive must find a point");
+
+        // Replay the dive from the root LP.
+        let core = LpCore::from_model(&m);
+        let sx = SimplexOptions::default();
+        let root = solve_lp_warm(&core, &core.lb, &core.ub, &sx, None).unwrap();
+        let int_vars: Vec<usize> = (0..m.num_vars()).collect();
+        let basis = root.snapshot.as_ref().and_then(|s| s.warm_start());
+        let d = dive(&core, &m, &int_vars, &core.lb, &core.ub, &root.x, basis, &sx, 1e-6, 40);
+        assert!(d.point.is_some());
+        assert!(d.lps >= 1 && d.iterations > 0, "{d:?}");
+        assert_eq!(d.warm_lps, d.lps, "every dive LP, the first included, starts warm");
+        assert_eq!(dived.lp_iterations, undived.lp_iterations + d.iterations);
+        assert_eq!(dived.refactorizations, undived.refactorizations + d.refactorizations);
+    }
+
+    #[test]
+    fn root_start_skips_phase_one_and_is_not_a_seed() {
+        // min 4a + b + 2c + 6d  s.t.  a + b = 1,  c + d = 1: a cold root
+        // needs an artificial per equality row, a start at a feasible
+        // vertex does not.
+        let mut m = Model::new();
+        let v: Vec<_> = [4.0, 1.0, 2.0, 6.0].map(|c| m.add_binary(c)).to_vec();
+        m.add_constraint(lin(&[(v[0], 1.0), (v[1], 1.0)]), Sense::Eq, 1.0)
+            .unwrap();
+        m.add_constraint(lin(&[(v[2], 1.0), (v[3], 1.0)]), Sense::Eq, 1.0)
+            .unwrap();
+        let start = |x: &[f64]| MipOptions {
+            root_start: Some(x.to_vec()),
+            ..MipOptions::default()
+        };
+        let cold = default_solve(&m);
+        let warm = solve_mip(&m, &start(&[1.0, 0.0, 0.0, 1.0])).unwrap();
+        assert_eq!(warm.best_objective, Some(3.0));
+        assert_eq!(warm.best_solution, cold.best_solution);
+        assert!(!warm.incumbent_seeded);
+        assert_eq!(warm.warm_started_nodes, 0, "the root is not a warm-started node");
+        assert!(
+            warm.lp_iterations < cold.lp_iterations,
+            "{} vs {}",
+            warm.lp_iterations,
+            cold.lp_iterations
+        );
+        // Off a bound, infeasible or mis-sized: ignored, pivot for pivot.
+        for x in [&[0.5, 0.5, 0.0, 1.0][..], &[1.0, 1.0, 0.0, 1.0], &[1.0]] {
+            let r = solve_mip(&m, &start(x)).unwrap();
+            assert_eq!(r.lp_iterations, cold.lp_iterations, "{x:?}");
+        }
+    }
+
+    #[test]
+    fn root_start_is_not_an_incumbent() {
+        // max x + y  s.t.  x + y <= 1.5: the root LP is fractional, so
+        // after one node without heuristics only a seed could have left
+        // an incumbent.
+        let mut m = Model::new();
+        let x = m.add_binary(1.0);
+        let y = m.add_binary(1.0);
+        m.set_objective_direction(Objective::Maximize);
+        m.add_constraint(lin(&[(x, 1.0), (y, 1.0)]), Sense::Le, 1.5)
+            .unwrap();
+        let opts = MipOptions {
+            node_limit: Some(1),
+            rounding_heuristic: false,
+            diving: false,
+            root_start: Some(vec![1.0, 0.0]),
+            ..MipOptions::default()
+        };
+        let r = solve_mip(&m, &opts).unwrap();
+        assert_eq!(r.nodes_explored, 1);
+        assert_eq!(r.best_objective, None, "the start point is not the incumbent");
+        let full = solve_mip(
+            &m,
+            &MipOptions {
+                node_limit: None,
+                ..opts
+            },
+        )
+        .unwrap();
+        assert_eq!(full.status, MipStatus::Optimal);
+        assert_eq!(full.best_objective, Some(1.0));
+    }
+
     #[test]
     fn pre_cancelled_token_stops_before_the_first_node() {
         use crate::control::{CancelToken, SolveControl};
@@ -1012,14 +1173,7 @@ mod tests {
 
     #[test]
     fn node_limit_reports_node_limit_stop() {
-        let mut m = Model::new();
-        let xs: Vec<_> = (0..12).map(|i| m.add_binary(1.0 + (i % 3) as f64)).collect();
-        m.set_objective_direction(Objective::Maximize);
-        let mut e = crate::model::LinExpr::new();
-        for (i, x) in xs.iter().enumerate() {
-            e.push(*x, 1.0 + (i % 4) as f64);
-        }
-        m.add_constraint(e, Sense::Le, 11.3).unwrap();
+        let m = fractional_knapsack();
         let r = solve_mip(
             &m,
             &MipOptions {

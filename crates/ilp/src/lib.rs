@@ -16,7 +16,8 @@
 //! * a serial best-bound branch-and-bound MIP engine ([`branch`]) with
 //!   pseudo-cost branching that **warm-starts** each child node's LP from
 //!   the parent's optimal basis (a short dual simplex repairs primal
-//!   feasibility, skipping phase 1),
+//!   feasibility, skipping phase 1), and the root LP from a known
+//!   feasible integer point when the caller has one,
 //! * a brute-force reference solver ([`brute`]) used to validate the
 //!   engines on small instances.
 

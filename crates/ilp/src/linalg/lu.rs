@@ -94,14 +94,6 @@ pub trait BasisFactorization {
     /// Nonzeros accumulated in update storage since the last refactor;
     /// the solver refactors early when this grows past its threshold.
     fn update_nnz(&self) -> usize;
-
-    /// Row `r` of `B⁻¹` (equivalently `B⁻ᵀ eᵣ`), as an owned dense vector.
-    fn binv_row(&mut self, r: usize, m: usize) -> Vec<f64> {
-        let mut e = vec![0.0; m];
-        e[r] = 1.0;
-        self.btran(&mut e);
-        e
-    }
 }
 
 /// Explicit dense basis inverse (the engine's original strategy).
@@ -181,12 +173,6 @@ impl BasisFactorization for DenseInverse {
         // The dense inverse folds updates in place: there is no replayed
         // file whose growth could justify an early refactor.
         0
-    }
-
-    fn binv_row(&mut self, r: usize, m: usize) -> Vec<f64> {
-        // The inverse is explicit: read the row instead of solving for it.
-        debug_assert_eq!(m, self.binv.rows());
-        self.binv.row(r).to_vec()
     }
 }
 
@@ -549,13 +535,6 @@ impl BasisFactorization for Factorizer {
             Factorizer::Lu(f) => f.update_nnz(),
         }
     }
-
-    fn binv_row(&mut self, r: usize, m: usize) -> Vec<f64> {
-        match self {
-            Factorizer::Dense(f) => f.binv_row(r, m),
-            Factorizer::Lu(f) => f.binv_row(r, m),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -694,23 +673,6 @@ mod tests {
         // A refactor of the updated matrix must agree too.
         lu.refactor(m, &cols, 1e-10).unwrap();
         check_solves(&mut lu, &cols, m);
-    }
-
-    #[test]
-    fn binv_row_is_inverse_row() {
-        let m = 6;
-        let cols = test_cols(m, 5);
-        let mut lu = SparseLu::new();
-        lu.refactor(m, &cols, 1e-10).unwrap();
-        // row · B must equal eᵣ.
-        for r in 0..m {
-            let row = lu.binv_row(r, m);
-            let prod = dense_mul_t(&cols, &row);
-            for (c, p) in prod.iter().enumerate() {
-                let want = if c == r { 1.0 } else { 0.0 };
-                assert!((p - want).abs() < 1e-8, "r={r} c={c}: {p}");
-            }
-        }
     }
 
     #[test]

@@ -27,20 +27,29 @@
 //! refactorized). Bland's anti-cycling rule overrides all of them once a
 //! stall is detected.
 //!
-//! Feasibility (phase 1) is obtained by adding one artificial variable per
-//! row whose slack cannot absorb the initial residual, then minimizing the
-//! artificial sum. Phase 2 fixes artificials to zero and optimizes the real
-//! objective. Degenerate cycling is broken by switching to Bland's rule
-//! after a stall is detected.
+//! A cold start obtains feasibility (phase 1) by adding one artificial
+//! variable per row whose slack cannot absorb the initial residual, then
+//! minimizing the artificial sum; on an assignment model that is one
+//! artificial per equality row, and phase 1 is most of the pivots. Phase 2
+//! fixes artificials to zero and optimizes the real objective. Degenerate
+//! cycling is broken by switching to Bland's rule after a stall is
+//! detected.
 //!
-//! **Warm starts.** [`solve_lp_warm`] accepts the final basis of a
-//! previous solve over the same matrix (typically the parent node in
-//! branch-and-bound, via [`BasisSnapshot::warm_start`]). Because bound
-//! changes leave reduced costs intact, the parent basis stays dual
-//! feasible: a short bounded-variable **dual simplex** loop restores
-//! primal feasibility and phase 1 is skipped entirely. Any numerical
-//! doubt falls back to the cold two-phase path, so warm starting is a
-//! pure optimization, never a correctness risk.
+//! **Warm starts.** [`solve_lp_warm`] accepts a starting basis and skips
+//! phase 1 whenever that basis can be made primal feasible. Two kinds
+//! are supplied:
+//!
+//! * the final basis of a previous solve over the same matrix (the parent
+//!   node in branch-and-bound, or the root for the root dive, via
+//!   [`BasisSnapshot::warm_start`]). Bound changes leave reduced costs
+//!   intact, so that basis stays dual feasible, and a short
+//!   bounded-variable **dual simplex** loop restores primal feasibility;
+//! * the slack basis at a feasible vertex of the bound box
+//!   ([`WarmStart::at_vertex`]), e.g. a known integer solution at the
+//!   root. It is primal feasible as installed, so phase 2 starts at once.
+//!
+//! Any numerical doubt falls back to the cold two-phase path, so warm
+//! starting is a pure optimization, never a correctness risk.
 
 use crate::error::{IlpError, LpStatus};
 use crate::linalg::{
@@ -163,32 +172,17 @@ impl Default for SimplexOptions {
     }
 }
 
-/// Snapshot of the final basis: statuses and values for cut generation,
-/// plus the factorization itself so `B⁻¹` rows can be recovered on demand
-/// (without ever materializing the full inverse), and enough structure to
-/// warm-start a sibling solve.
+/// Snapshot of the final basis, enough to warm-start a sibling solve.
 #[derive(Debug, Clone)]
 pub struct BasisSnapshot {
-    /// Variable occupying each basis row.
+    /// Variable occupying each basis row (an artificial column index when
+    /// phase 1 left one basic).
     pub basis: Vec<u32>,
     /// Status of every internal column (structural, then slacks).
     pub status: Vec<VarStatus>,
-    /// Value of every internal column.
-    pub x_all: Vec<f64>,
-    /// Number of structural columns.
-    pub n_struct: usize,
-    /// Basis factorization at termination.
-    factor: Factorizer,
 }
 
 impl BasisSnapshot {
-    /// Row `row` of `B⁻¹`, solved on demand from the stored factorization
-    /// (used by Gomory cut generation).
-    pub fn binv_row(&mut self, row: usize) -> Vec<f64> {
-        let m = self.basis.len();
-        self.factor.binv_row(row, m)
-    }
-
     /// Extract a warm-start basis for a re-solve over the same matrix
     /// with different bounds. `None` when an artificial variable is still
     /// basic (rare degenerate phase-1 leftover) — such a basis does not
@@ -205,9 +199,9 @@ impl BasisSnapshot {
     }
 }
 
-/// A basis (row occupants + column statuses) from a previous solve of the
-/// same `LpCore`, used to skip phase 1. Build via
-/// [`BasisSnapshot::warm_start`].
+/// A starting basis (row occupants + column statuses) over an `LpCore`,
+/// used to skip phase 1. Build via [`BasisSnapshot::warm_start`] from a
+/// previous solve of the same core, or via [`WarmStart::at_vertex`].
 #[derive(Debug, Clone)]
 pub struct WarmStart {
     /// Variable basic in each row (length `m`).
@@ -215,6 +209,37 @@ pub struct WarmStart {
     /// Status per internal column, structural then slacks (length
     /// `n_struct + m`).
     pub status: Vec<VarStatus>,
+}
+
+impl WarmStart {
+    /// The slack basis at a vertex `x` of the bound box `[lb, ub]` of an
+    /// LP with `m` rows: each structural is nonbasic at the bound it sits
+    /// on, and each row's slack is basic in its own row. That basis is the
+    /// identity, and it is primal feasible exactly when `x` satisfies the
+    /// rows (an equality row's slack is then basic at 0), so a solve
+    /// started from a feasible `x` goes straight to phase 2. `None` when
+    /// some entry of `x` is not exactly on one of its bounds.
+    pub fn at_vertex(x: &[f64], lb: &[f64], ub: &[f64], m: usize) -> Option<WarmStart> {
+        let n = x.len();
+        if lb.len() != n || ub.len() != n {
+            return None;
+        }
+        let mut status = Vec::with_capacity(n + m);
+        for j in 0..n {
+            status.push(if x[j] == lb[j] {
+                VarStatus::Lower
+            } else if x[j] == ub[j] {
+                VarStatus::Upper
+            } else {
+                return None;
+            });
+        }
+        status.extend((0..m as u32).map(VarStatus::Basic));
+        Some(WarmStart {
+            basis: (n as u32..(n + m) as u32).collect(),
+            status,
+        })
+    }
 }
 
 /// Result of an LP solve.
@@ -236,8 +261,7 @@ pub struct LpSolution {
     /// Peak eta-file nonzero count observed between refactorizations
     /// (0 for the dense backend, which folds updates in place).
     pub eta_nnz_peak: u64,
-    /// Final basis data for cut generation and child warm starts (only on
-    /// `Optimal`).
+    /// Final basis, for child and dive warm starts (only on `Optimal`).
     pub snapshot: Option<BasisSnapshot>,
 }
 
@@ -948,22 +972,9 @@ impl<'a> Solver<'a> {
         let internal_obj: f64 = (0..self.n_struct).map(|j| self.costs[j] * self.x[j]).sum();
         let objective = self.core.user_objective(internal_obj);
         let x_struct = self.x[..self.n_struct].to_vec();
-        // `run` consumes the solver: move the basis state and the
-        // factorization into the snapshot instead of cloning them (the
-        // factors can be large, and this runs once per B&B node).
-        let base = self.n_struct + self.m;
-        self.status.truncate(base);
-        self.x.truncate(base);
-        // Read the fill-in high-water mark before the factorizer moves
-        // into the snapshot below.
-        let eta_nnz_peak = self.factor.eta_nnz_peak() as u64;
-        let snapshot = BasisSnapshot {
-            basis: self.basis,
-            status: self.status,
-            x_all: self.x,
-            n_struct: self.n_struct,
-            factor: self.factor,
-        };
+        // `run` consumes the solver: move the basis state into the
+        // snapshot instead of cloning it (this runs once per B&B node).
+        self.status.truncate(self.n_struct + self.m);
         Ok(LpSolution {
             status: LpStatus::Optimal,
             x: x_struct,
@@ -971,8 +982,11 @@ impl<'a> Solver<'a> {
             iterations: self.iterations,
             warm_started,
             refactorizations: self.refactorizations,
-            eta_nnz_peak,
-            snapshot: Some(snapshot),
+            eta_nnz_peak: self.factor.eta_nnz_peak() as u64,
+            snapshot: Some(BasisSnapshot {
+                basis: self.basis,
+                status: self.status,
+            }),
         })
     }
 

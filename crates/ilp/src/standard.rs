@@ -74,41 +74,6 @@ impl LpCore {
         let signed = if self.maximize { -internal } else { internal };
         signed + self.obj_offset
     }
-
-    /// Append extra rows (cutting planes) over structural variables,
-    /// producing a new core. Each cut is `(terms, sense, rhs)` with terms as
-    /// `(column, coeff)`.
-    pub fn with_extra_rows(&self, cuts: &[(Vec<(u32, f64)>, Sense, f64)]) -> Self {
-        let n = self.num_structural();
-        let m0 = self.num_rows();
-        let mut columns: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        for c in 0..n {
-            let (idx, val) = self.a.column(c);
-            for (&r, &v) in idx.iter().zip(val) {
-                columns[c].push((r, v));
-            }
-        }
-        let mut senses = self.senses.clone();
-        let mut rhs = self.rhs.clone();
-        for (ri, (terms, sense, b)) in cuts.iter().enumerate() {
-            let row = (m0 + ri) as u32;
-            for &(col, coeff) in terms {
-                columns[col as usize].push((row, coeff));
-            }
-            senses.push(*sense);
-            rhs.push(*b);
-        }
-        LpCore {
-            a: CscMatrix::from_columns(m0 + cuts.len(), &columns),
-            costs: self.costs.clone(),
-            senses,
-            rhs,
-            lb: self.lb.clone(),
-            ub: self.ub.clone(),
-            maximize: self.maximize,
-            obj_offset: self.obj_offset,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,20 +91,5 @@ mod tests {
         assert_eq!(core.costs, vec![-2.0]);
         assert_eq!(core.a.get(0, 0), 3.0);
         assert_eq!(core.user_objective(-6.0), 6.0);
-    }
-
-    #[test]
-    fn extra_rows_appended() {
-        let mut m = Model::new();
-        let x = m.add_binary(1.0);
-        let y = m.add_binary(1.0);
-        m.add_constraint(lin(&[(x, 1.0), (y, 1.0)]), Sense::Le, 1.0)
-            .unwrap();
-        let core = LpCore::from_model(&m);
-        let cut = (vec![(0u32, 1.0), (1u32, 2.0)], Sense::Le, 1.5);
-        let bigger = core.with_extra_rows(&[cut]);
-        assert_eq!(bigger.num_rows(), 2);
-        assert_eq!(bigger.a.get(1, 1), 2.0);
-        assert_eq!(bigger.rhs[1], 1.5);
     }
 }

@@ -127,3 +127,53 @@ proptest! {
         }
     }
 }
+
+/// Every 0/1 point of a pure-binary model, in mask order.
+fn binary_points(model: &Model) -> impl Iterator<Item = Vec<f64>> {
+    let n = model.num_vars();
+    (0u32..1 << n).map(move |mask| (0..n).map(|j| ((mask >> j) & 1) as f64).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn root_start_matches_brute_force(model in binary_model_strategy()) {
+        let oracle = solve_brute(&model);
+        let cold = solve_mip(&model, &MipOptions::default()).unwrap();
+        let with_start = |x: Vec<f64>| {
+            solve_mip(&model, &MipOptions { root_start: Some(x), ..MipOptions::default() }).unwrap()
+        };
+        let (feasible, infeasible): (Vec<_>, Vec<_>) =
+            binary_points(&model).partition(|x| model.check_feasible(x, 1e-9).is_ok());
+
+        // Start at the worst feasible point: the search still reaches the
+        // optimum, and the start is never reported as a seed.
+        let sign = match model.objective_direction() {
+            Objective::Maximize => -1.0,
+            Objective::Minimize => 1.0,
+        };
+        let cost = |x: &Vec<f64>| sign * model.objective_value(x);
+        let worst = feasible.iter().max_by(|a, b| cost(a).total_cmp(&cost(b)));
+        if let Some(x) = worst {
+            let got = with_start(x.clone());
+            prop_assert_eq!(got.status, MipStatus::Optimal);
+            prop_assert!(!got.incumbent_seeded);
+            prop_assert!(objectives_match(got.best_objective, oracle.best_objective),
+                         "objective mismatch: got {:?}, oracle {:?}",
+                         got.best_objective, oracle.best_objective);
+            prop_assert!(model.check_feasible(got.best_solution.as_ref().unwrap(), 1e-6).is_ok());
+        }
+
+        // An infeasible or fractional start is ignored: the solve is the
+        // cold solve, pivot for pivot.
+        let fractional = vec![0.5; model.num_vars()];
+        for x in infeasible.into_iter().take(1).chain([fractional]) {
+            let got = with_start(x);
+            prop_assert_eq!(got.status, cold.status);
+            prop_assert_eq!(&got.best_solution, &cold.best_solution);
+            prop_assert_eq!(got.lp_iterations, cold.lp_iterations);
+            prop_assert_eq!(got.nodes_explored, cold.nodes_explored);
+        }
+    }
+}

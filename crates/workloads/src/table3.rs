@@ -187,7 +187,7 @@ pub fn table3_instance(index: usize) -> (Design, Board, Table3Point) {
     (table3_design(&point, 0xF00D), table3_board(&point), point)
 }
 
-/// Point 9 scaled ×16: a Table-3-shaped instance whose global ILP runs
+/// Point 9 scaled ×32: a Table-3-shaped instance whose global ILP runs
 /// for on the order of a *second* on current hardware (the unscaled
 /// points solve in milliseconds through the two-phase pipeline). The
 /// test suite's standard target for deadline and cancellation races —
@@ -195,9 +195,9 @@ pub fn table3_instance(index: usize) -> (Design, Board, Table3Point) {
 pub fn slow_table3_instance() -> (Design, Board) {
     let p9 = TABLE3[8];
     let point = Table3Point {
-        segments: p9.segments * 16,
-        banks: p9.banks * 16,
-        ports: p9.ports * 16,
+        segments: p9.segments * 32,
+        banks: p9.banks * 32,
+        ports: p9.ports * 32,
         ..p9
     };
     (table3_design(&point, 0xF00D), table3_board(&point))
