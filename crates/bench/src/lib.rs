@@ -20,13 +20,8 @@ use gmm_ilp::PricingRule;
 use gmm_workloads::{table3_board, table3_design, Table3Point};
 use std::time::{Duration, Instant};
 
-pub mod service;
 pub mod trajectory;
 
-pub use service::{
-    run_service_bench, service_bench_guard, ModeResult, ServiceBenchConfig, ServiceBenchReport,
-    SERVICE_BENCH_SCHEMA,
-};
 pub use trajectory::{
     run_trajectory, run_trajectory_with, BenchReport, RuleTrajectory, TrajectoryConfig,
     BENCH_SCHEMA,

@@ -4,9 +4,9 @@
 //! Three connected layers:
 //!
 //! 1. [`sched`] + [`explore`] — a loom-style deterministic model
-//!    checker. The compat `parking_lot`/`crossbeam` stand-ins expose
-//!    schedule points through `gmm-checkpoint` (debug builds only);
-//!    the explorer runs small closed models of the real service types
+//!    checker. The compat `parking_lot` stand-in exposes schedule
+//!    points through `gmm-checkpoint` (debug builds only); the
+//!    explorer runs small closed models of the real service types
 //!    under exhaustive DFS (bounded preemptions) or seeded-random
 //!    interleavings and asserts the invariants the wall-clock soaks
 //!    only sample.
@@ -19,8 +19,8 @@
 //!    allowlist file for audited exceptions. Surfaced as `gmm lint`.
 //!
 //! [`models`] holds the closed models of `SolutionCache`, `Outbox`,
-//! and the job-queue claim protocol plus the deliberately-buggy
-//! models used to test the checker itself.
+//! and the job queue's dispatch and claim protocol plus the
+//! deliberately-buggy models used to test the checker itself.
 
 pub mod explore;
 pub mod lint;

@@ -40,7 +40,7 @@ pub fn clean_models() -> Vec<NamedModel> {
         },
         NamedModel {
             name: "queue",
-            covers: "job-queue submit/steal/cancel/finish claim protocol over crossbeam deques",
+            covers: "job-queue FIFO list + condvar park, cancel/claim/finish, drain on shutdown",
             build: queue::build,
         },
     ]

@@ -1,14 +1,16 @@
-//! Model: the job queue's claim protocol — a submitter feeding an
-//! injector plus two work-stealing workers with a cancel racing the
-//! first claim — rebuilt closed over the compat `crossbeam` deques and
-//! `parking_lot` primitives so the explorer can drive every pop, steal
-//! and park.
+//! Model: the job queue's dispatch and claim protocol — a submitter
+//! feeding one FIFO job list plus two workers parked on its condvar,
+//! with a cancel racing the first claim — rebuilt closed over the
+//! compat `parking_lot` primitives so the explorer can drive every
+//! push, pop, park and wakeup.
 //!
-//! This is the same submit/steal/claim/cancel/finish choreography as
-//! `gmm_service::queue::JobQueue` (record-table claim under a mutex,
-//! condvar park with the predicate re-checked under the lock, notify
-//! after publishing work), shrunk to three jobs so the bounded DFS can
-//! cover it.
+//! This is the same submit/claim/cancel/finish/shutdown choreography as
+//! `gmm_service::queue::JobQueue`: push under the list lock then
+//! `notify_one`; a worker pops the front, or parks with the predicate
+//! (list empty, not shut down) re-checked under the same lock; claim
+//! under the record lock; the submitter waits for the queue to go idle
+//! and then shuts it down (flag set under the list lock, `notify_all`).
+//! Shrunk to three jobs so the bounded DFS can cover it.
 //!
 //! Invariants asserted over every interleaving:
 //! * every job ends terminal exactly once — done or cancelled, never
@@ -17,9 +19,9 @@
 //! * both workers terminate (no lost wakeup on the park path).
 
 use crate::explore::ModelRun;
-use crossbeam::deque::{Injector, Steal, Worker};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const JOBS: usize = 3;
@@ -29,12 +31,15 @@ const DONE: u8 = 2;
 const CANCELLED: u8 = 3;
 
 struct Shared {
-    injector: Injector<usize>,
+    jobs: Mutex<VecDeque<usize>>,
+    work_cond: Condvar,
+    /// Written under the `jobs` lock.
+    shutdown: AtomicBool,
     records: Mutex<[u8; JOBS]>,
     done: AtomicU64,
     cancelled: AtomicU64,
-    park_lock: Mutex<()>,
-    park_cond: Condvar,
+    idle_lock: Mutex<()>,
+    idle_cond: Condvar,
 }
 
 impl Shared {
@@ -43,91 +48,77 @@ impl Shared {
             >= JOBS as u64
     }
 
-    /// Lock-bounce + notify, the queue's publication idiom: taking the
-    /// park lock after the state change orders it before any waiter's
-    /// predicate re-check, so the notify cannot be lost.
-    fn notify(&self) {
-        drop(self.park_lock.lock());
-        self.park_cond.notify_all();
+    fn push(&self, job: usize) {
+        self.jobs.lock().push_back(job);
+        self.work_cond.notify_one();
+    }
+
+    /// The front job, parking while the list is empty; `None` once it
+    /// is empty and the queue is shut down.
+    fn next_job(&self) -> Option<usize> {
+        let mut jobs = self.jobs.lock();
+        loop {
+            if let Some(job) = jobs.pop_front() {
+                return Some(job);
+            }
+            if self.shutdown.load(Ordering::Relaxed) {
+                return None;
+            }
+            jobs = self.work_cond.wait(jobs);
+        }
+    }
+
+    /// Lock-bounce + notify after a terminal transition: taking the idle
+    /// lock orders the counter update before the waiter's re-check.
+    fn notify_idle(&self) {
+        drop(self.idle_lock.lock());
+        self.idle_cond.notify_all();
     }
 }
 
-fn worker_body(shared: Arc<Shared>, local: Worker<usize>, peer: crossbeam::deque::Stealer<usize>) {
-    loop {
-        if shared.finished() {
-            shared.notify(); // wake a peer still parked on the last finish
-            return;
-        }
-        let task = local
-            .pop()
-            .or_else(|| match shared.injector.steal_batch_and_pop(&local) {
-                Steal::Success(job) => Some(job),
-                Steal::Empty | Steal::Retry => None,
-            })
-            .or_else(|| match peer.steal() {
-                Steal::Success(job) => Some(job),
-                Steal::Empty | Steal::Retry => None,
-            });
-        match task {
-            Some(job) => {
-                let claimed = {
-                    let mut records = shared.records.lock();
-                    match records[job] {
-                        QUEUED => {
-                            records[job] = RUNNING;
-                            true
-                        }
-                        CANCELLED => false, // cancelled while queued; already counted
-                        state => panic!("job {job} popped twice (state {state})"),
-                    }
-                };
-                if claimed {
-                    gmm_checkpoint::yield_point(); // the solve
-                    {
-                        let mut records = shared.records.lock();
-                        assert_eq!(records[job], RUNNING, "claim lost while solving");
-                        records[job] = DONE;
-                    }
-                    shared.done.fetch_add(1, Ordering::Relaxed);
+fn worker_body(shared: Arc<Shared>) {
+    while let Some(job) = shared.next_job() {
+        let claimed = {
+            let mut records = shared.records.lock();
+            match records[job] {
+                QUEUED => {
+                    records[job] = RUNNING;
+                    true
                 }
+                CANCELLED => false, // cancelled while queued; already counted
+                state => panic!("job {job} popped twice (state {state})"),
             }
-            None => {
-                let mut guard = shared.park_lock.lock();
-                // Re-check the predicate under the park lock: a submit
-                // (or final finish) bounces through this lock before
-                // notifying, so a publication between our failed steal
-                // and this park is visible here.
-                while !shared.finished()
-                    && shared.injector.is_empty()
-                    && local.is_empty()
-                {
-                    guard = shared.park_cond.wait(guard);
-                }
+        };
+        if claimed {
+            gmm_checkpoint::yield_point(); // the solve
+            {
+                let mut records = shared.records.lock();
+                assert_eq!(records[job], RUNNING, "claim lost while solving");
+                records[job] = DONE;
             }
+            shared.done.fetch_add(1, Ordering::Relaxed);
+            shared.notify_idle();
         }
     }
 }
 
 pub fn build() -> ModelRun {
     let shared = Arc::new(Shared {
-        injector: Injector::new(),
+        jobs: Mutex::new(VecDeque::new()),
+        work_cond: Condvar::new(),
+        shutdown: AtomicBool::new(false),
         records: Mutex::new([QUEUED; JOBS]),
         done: AtomicU64::new(0),
         cancelled: AtomicU64::new(0),
-        park_lock: Mutex::new(()),
-        park_cond: Condvar::new(),
+        idle_lock: Mutex::new(()),
+        idle_cond: Condvar::new(),
     });
-
-    let w1 = Worker::new_lifo();
-    let w2 = Worker::new_lifo();
-    let (s1, s2) = (w1.stealer(), w2.stealer());
 
     let t_submit = {
         let shared = shared.clone();
         Box::new(move || {
             for job in 0..JOBS {
-                shared.injector.push(job);
-                shared.notify();
+                shared.push(job);
             }
             // Cancel-if-queued racing the workers' claim of job 1,
             // mirroring the queue's cancel verb semantics.
@@ -142,22 +133,31 @@ pub fn build() -> ModelRun {
             };
             if won {
                 shared.cancelled.fetch_add(1, Ordering::Relaxed);
-                if shared.finished() {
-                    shared.notify();
-                }
+                shared.notify_idle();
             }
+            // wait_idle, then shutdown.
+            let mut idle = shared.idle_lock.lock();
+            while !shared.finished() {
+                idle = shared.idle_cond.wait(idle);
+            }
+            drop(idle);
+            {
+                let _jobs = shared.jobs.lock();
+                shared.shutdown.store(true, Ordering::Relaxed);
+            }
+            shared.work_cond.notify_all();
         }) as Box<dyn FnOnce() + Send>
     };
-    let t_worker1 = {
+    let worker = || {
         let shared = shared.clone();
-        Box::new(move || worker_body(shared, w1, s2)) as Box<dyn FnOnce() + Send>
+        Box::new(move || worker_body(shared)) as Box<dyn FnOnce() + Send>
     };
-    let t_worker2 = {
-        let shared = shared.clone();
-        Box::new(move || worker_body(shared, w2, s1)) as Box<dyn FnOnce() + Send>
-    };
+    // Workers first: the DFS then explores their parking before any
+    // push early, where a lost wakeup on the park path shows.
+    let threads = vec![worker(), worker(), t_submit];
 
     let check = Box::new(move || {
+        assert!(shared.jobs.lock().is_empty(), "workers exited with jobs queued");
         let records = shared.records.lock();
         for (job, state) in records.iter().enumerate() {
             assert!(
@@ -179,5 +179,5 @@ pub fn build() -> ModelRun {
         );
     }) as Box<dyn FnOnce()>;
 
-    ModelRun { threads: vec![t_submit, t_worker1, t_worker2], check }
+    ModelRun { threads, check }
 }

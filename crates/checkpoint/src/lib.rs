@@ -1,17 +1,16 @@
 //! Schedule-point hooks connecting the compat sync layer to `gmm-check`.
 //!
-//! The compat `parking_lot` and `crossbeam` stand-ins call into this
-//! crate at every interesting synchronization event (lock acquire and
-//! release, condvar enqueue/block/notify, deque operations). When a
-//! thread has been registered with a [`Scheduler`] — which only the
-//! `gmm-check` model-checker does — those calls hand control to the
-//! scheduler so it can serialize the threads of a model and explore
-//! interleavings deterministically. When no scheduler is registered
+//! The compat `parking_lot` stand-in calls into this crate at every
+//! interesting synchronization event (lock acquire and release, condvar
+//! enqueue/block/notify). When a thread has been registered with a
+//! [`Scheduler`] — which only the `gmm-check` model-checker does —
+//! those calls hand control to the scheduler so it can serialize the
+//! threads of a model and explore interleavings deterministically. When no scheduler is registered
 //! (every production and ordinary-test thread), each hook is a
 //! thread-local `None` check and nothing more.
 //!
 //! This crate exists so the dependency arrow points the right way:
-//! `parking_lot`/`crossbeam` depend on the tiny trait defined here, and
+//! `parking_lot` depends on the tiny trait defined here, and
 //! `gmm-check` (which depends on `parking_lot` to model it) implements
 //! the trait. Compat callers additionally gate every hook call behind
 //! `#[cfg(debug_assertions)]`, so release builds contain none of this.

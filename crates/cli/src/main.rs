@@ -15,9 +15,7 @@
 //!   suite, score each architecture by geometric-mean mapped cost, and
 //!   write a Pareto-front JSON
 //! * `bench`    — run the simplex pricing-rule ablation (stream workload
-//!   plus Table 3 points per rule) and write `BENCH_simplex.json`, or
-//!   with `--service` the queue/cache throughput benchmark behind
-//!   `BENCH_service.json`
+//!   plus Table 3 points per rule) and write `BENCH_simplex.json`
 //! * `check`    — explore the gmm-check concurrency models under a
 //!   deterministic scheduler (debug builds only)
 //! * `lint`     — run the workspace invariant lint (`lint.allow` holds
@@ -220,7 +218,6 @@ USAGE:
             [--solve-mode ilp|heuristic|portfolio] [--out SWEEP_arch.json]
   gmm bench [--quick] [--stream N] [--seed S] [--points 1..9]
             [--cap-secs T] [--progress] [--out BENCH_simplex.json]
-            [--service]
   gmm check [--model cache|outbox|queue] [--preemption-bound P]
             [--min-schedules N] [--max-schedules N] [--seed S]
   gmm lint [--root <dir>]
@@ -247,9 +244,7 @@ weight steepest-edge approximation). All rules reach the same optima;
 they differ in pivot counts and scan cost. `bench` runs the stream
 workload plus Table 3 points once per rule and writes the throughput
 trajectory (instances/sec, pivots/sec, nodes/sec, refactorization
-cadence) to BENCH_simplex.json; `bench --service` instead measures the
-job queue itself (jobs/sec and cache hit-rate under LRU eviction, one
-column per solve mode) and writes BENCH_service.json.
+cadence) to BENCH_simplex.json.
 
 --solve-mode picks the solver portfolio: `ilp` (the default: full
 branch-and-bound, proves optimality), `heuristic` (the gmm-heur greedy
@@ -268,7 +263,7 @@ schema-tagged JSON.
 `serve` runs the mapsrv daemon: a JSON-lines TCP protocol (v1 verbs
 submit / poll / result / cancel / stats / shutdown, plus the v2 session
 surface: hello handshake, submit_batch, and watch streams pushing state
-and solver-progress events), a sharded work-stealing job queue, and a
+and solver-progress events), a FIFO job queue, and a
 content-addressed solution cache. `batch` pushes a set of instances
 through the same queue — in-process by default, or against a running
 daemon with --addr — over one multiplexed session, waits on the event
@@ -525,7 +520,6 @@ gmm bench — simplex pricing ablation, written to BENCH_simplex.json
 USAGE:
   gmm bench [--quick] [--stream N] [--seed S] [--points 1..9]
             [--cap-secs T] [--progress] [--out BENCH_simplex.json]
-            [--service [--backends N]]
 
 Runs the stream workload plus the selected Table 3 points once per
 pricing rule (dantzig, partial, devex) through the gmm-api facade and
@@ -533,37 +527,20 @@ writes a JSON trajectory report: per rule, instances/sec over the
 stream, pivots/sec and nodes/sec through the solver loops, total
 refactorizations, and the peak eta-file fill-in.
 
-With --service it instead benchmarks the batch service itself: the
-stream workload is pushed through a fresh JobQueue once per solve mode
-(ilp, portfolio), each lap submitting every distinct instance cold
-(cache misses + LRU eviction) and then re-submitting a hot block sized
-to the cache (deterministic hits), and writes jobs/sec, hit-rate,
-eviction and heuristic counters per mode to BENCH_service.json.
-
 OPTIONS:
   --quick       CI-sized smoke run (8 stream instances, Table 3 points
                 1-2, 2 s caps); default is 24 instances, all 9 points,
-                5 s caps. For --service: 2 laps instead of 4
+                5 s caps
   --stream N    override the stream instance count
   --seed S      stream workload seed (default 0xBEEF)
   --points P    Table 3 points to time per rule (e.g. 1..3 or 1,4,9)
   --cap-secs T  per-point deadline; capped points are marked `capped`
   --progress    stream phase/incumbent/node events to stderr
-  --out <file>  report path (default BENCH_simplex.json, or
-                BENCH_service.json with --service)
-  --service     run the service-layer benchmark instead
-  --backends N  with --service: also run the ilp workload through an
-                in-process `gmm route` router over N TCP backends at
-                the same total worker count (the cluster lap), and
-                record routed jobs/sec vs single-node
+  --out <file>  report path (default BENCH_simplex.json)
 
 The run fails (exit 1) if devex pivots/sec drops below 0.8x the
 dantzig baseline measured in the same run — the devex update must stay
-cheap enough that its per-pivot overhead never dominates. The service
-benchmark fails the same way if eviction never ran, the hot blocks
-never hit, or the portfolio column never seeded an incumbent — and the
-cluster lap fails it if routed throughput drops below 0.7x the
-single-node column (routing overhead must stay amortizable)."
+cheap enough that its per-pivot overhead never dominates."
         }
         "arch-sweep" => {
             "\
@@ -1785,8 +1762,8 @@ fn cmd_arch_sweep(args: &[String]) -> Result<(), CliError> {
     session.stream_progress(false);
     let client_err = |e: gmm_service::ClientError| CliError::internal(e.to_string());
 
-    // One flat batch over the whole grid x suite product: work stealing
-    // keeps every worker busy across architecture boundaries, and
+    // One flat batch over the whole grid x suite product: the shared job
+    // list keeps every worker busy across architecture boundaries, and
     // `wait_all` hands outcomes back in submission order.
     let t0 = Instant::now();
     let specs: Vec<SubmitSpec> = grid
@@ -1897,93 +1874,12 @@ fn cmd_arch_sweep(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `gmm bench --service` — the queue/cache throughput benchmark behind
-/// `BENCH_service.json`.
-fn cmd_bench_service(f: &Flags) -> Result<(), CliError> {
-    use gmm_bench::{run_service_bench, service_bench_guard, ServiceBenchConfig};
-
-    let mut cfg = if f.has("--quick") {
-        ServiceBenchConfig::quick()
-    } else {
-        ServiceBenchConfig::full()
-    };
-    if let Some(seed) = f.parse::<u64>("--seed")? {
-        cfg.stream_seed = seed;
-    }
-    if let Some(n) = f.parse::<usize>("--stream")? {
-        // Keep the cap binding (evictions must run) and the hot block
-        // nonempty whatever count is asked for.
-        cfg.distinct = n.max(2);
-        cfg.cache_cap = (cfg.distinct / 2).max(1);
-    }
-    if let Some(n) = f.parse::<usize>("--backends")? {
-        cfg.backends = n;
-    }
-    let out = f.get("--out").unwrap_or("BENCH_service.json");
-
-    println!(
-        "bench --service: {} distinct instances, cache cap {}, {} lap(s) x {} mode(s) on {} workers",
-        cfg.distinct,
-        cfg.cache_cap,
-        cfg.laps,
-        cfg.modes.len(),
-        cfg.workers,
-    );
-    let report = run_service_bench(&cfg);
-
-    println!(
-        "{:>10} {:>7} {:>9} {:>9} {:>7} {:>9} {:>12} {:>7} {:>7}",
-        "mode", "jobs", "jobs/s", "hit-rate", "evict", "pivots", "heur-solved", "seeded", "infeas"
-    );
-    for m in &report.modes {
-        println!(
-            "{:>10} {:>7} {:>9.1} {:>9.2} {:>7} {:>9} {:>12} {:>7} {:>7}",
-            m.mode,
-            m.jobs,
-            m.jobs_per_sec,
-            m.hit_rate,
-            m.cache_evictions,
-            m.lp_iterations,
-            m.heuristic_solved,
-            m.heuristic_seeded,
-            m.heuristic_infeasible,
-        );
-    }
-    if let Some(c) = &report.cluster {
-        println!(
-            "{:>10} {:>7} {:>9.1} routed over {} backends x {} workers ({:.2}x single-node)",
-            "cluster", c.jobs, c.jobs_per_sec, c.backends, c.workers_per_backend, c.vs_single_node,
-        );
-    }
-
-    // Artifact first, verdict second — a failing run's numbers are
-    // exactly the ones worth inspecting.
-    std::fs::write(out, report.to_json() + "\n")
-        .map_err(|e| CliError::internal(format!("writing {out}: {e}")))?;
-    println!("wrote {out}");
-
-    let violations = service_bench_guard(&report);
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("guard: {v}");
-        }
-        return Err(CliError::internal(format!(
-            "{} service-bench guard violation(s)",
-            violations.len()
-        )));
-    }
-    Ok(())
-}
-
 /// `gmm bench` — the simplex pricing ablation behind `BENCH_simplex.json`.
 fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     use gmm_bench::{run_trajectory_with, TrajectoryConfig};
     use gmm_ilp::PricingRule;
 
     let f = Flags::new(args);
-    if f.has("--service") {
-        return cmd_bench_service(&f);
-    }
     let mut cfg = if f.has("--quick") {
         TrajectoryConfig::quick()
     } else {
@@ -2401,7 +2297,7 @@ fn cmd_table3(args: &[String]) -> Result<(), CliError> {
         );
     }
     println!("\npaper platform: CPLEX on a 248 MHz SUN Ultra-30; shapes, not");
-    println!("absolute seconds, are expected to match (see EXPERIMENTS.md).");
+    println!("absolute seconds, are expected to match (see README, \"Paper artifacts\").");
     Ok(())
 }
 

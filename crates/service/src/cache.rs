@@ -450,17 +450,28 @@ mod tests {
         assert_eq!(s.capacity, 3);
     }
 
+    /// Three keys that all land in shard 0 of a `shards`-way cache. The
+    /// LRU guarantee is per shard: when the inserting shard holds another
+    /// entry, the victim is that shard's least recently used entry.
+    /// Across shards there is no order to pin.
+    fn same_shard_keys(shards: usize) -> [InstanceKey; 3] {
+        [1, 2, 3].map(|n| key(n * shards as u128))
+    }
+
     #[test]
     fn eviction_is_lru_ordered() {
-        let cache = SolutionCache::new(1, 2);
-        cache.insert(key(1), entry("a"));
-        cache.insert(key(2), entry("b"));
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.get(key(1)).is_some());
-        cache.insert(key(3), entry("c"));
-        assert!(cache.peek(key(1)).is_some(), "recently used entry survived");
-        assert!(cache.peek(key(2)).is_none(), "LRU entry was evicted");
-        assert!(cache.peek(key(3)).is_some(), "new entry is live");
+        for shards in [1, 4, 16] {
+            let cache = SolutionCache::new(shards, 2);
+            let [a, b, c] = same_shard_keys(shards);
+            cache.insert(a, entry("a"));
+            cache.insert(b, entry("b"));
+            // Touch a so b becomes the shard's LRU victim.
+            assert!(cache.get(a).is_some());
+            cache.insert(c, entry("c"));
+            assert!(cache.peek(a).is_some(), "{shards} shards: recently used entry survived");
+            assert!(cache.peek(b).is_none(), "{shards} shards: LRU entry was evicted");
+            assert!(cache.peek(c).is_some(), "{shards} shards: new entry is live");
+        }
     }
 
     #[test]
@@ -501,14 +512,17 @@ mod tests {
 
     #[test]
     fn touch_via_insert_refreshes_lru_position() {
-        let cache = SolutionCache::new(1, 2);
-        cache.insert(key(1), entry("a"));
-        cache.insert(key(2), entry("b"));
-        // Racing duplicate insert of 1 must refresh it, making 2 the victim.
-        cache.insert(key(1), entry("a-racer"));
-        cache.insert(key(3), entry("c"));
-        assert!(cache.peek(key(1)).is_some());
-        assert!(cache.peek(key(2)).is_none());
+        for shards in [1, 4, 16] {
+            let cache = SolutionCache::new(shards, 2);
+            let [a, b, c] = same_shard_keys(shards);
+            cache.insert(a, entry("a"));
+            cache.insert(b, entry("b"));
+            // Racing duplicate insert of a must refresh it, making b the victim.
+            cache.insert(a, entry("a-racer"));
+            cache.insert(c, entry("c"));
+            assert!(cache.peek(a).is_some(), "{shards} shards: re-inserted entry survived");
+            assert!(cache.peek(b).is_none(), "{shards} shards: LRU entry was evicted");
+        }
     }
 
     #[test]

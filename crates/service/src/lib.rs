@@ -7,9 +7,9 @@
 //!
 //! Three layers, composable independently:
 //!
-//! * [`queue`] — a sharded, work-stealing [`JobQueue`]: instances are
-//!   hashed onto per-worker shard injectors, workers drain their shard
-//!   into private LIFO deques and steal from siblings when dry;
+//! * [`queue`] — a FIFO [`JobQueue`]: instances wait in one
+//!   submission-ordered list, and idle workers park on its condvar and
+//!   pop the front;
 //! * [`cache`] — a content-addressed [`SolutionCache`]: solved instances
 //!   are keyed by a canonical [`hash`] of the `(design, board, config)`
 //!   triple, so repeated or textually-different-but-identical submissions

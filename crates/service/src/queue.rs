@@ -1,11 +1,10 @@
-//! Sharded, work-stealing batch job queue with bounded retention.
+//! Batch job queue with bounded retention.
 //!
-//! Jobs (one mapping instance each) are hashed onto per-worker **shard
-//! injectors**; every worker drains its own shard into a private LIFO deque
-//! and, when dry, steals first from other shards and then from sibling
-//! workers' `crossbeam::deque` deques. Sharding keeps submission
-//! contention off a single queue head under heavy traffic; stealing keeps
-//! workers busy when the shard hash is unlucky.
+//! Jobs (one mapping instance each) wait in one submission-ordered list
+//! guarded by a mutex; idle workers park on a condvar and pop the front,
+//! so jobs start in the order they were submitted. The daemon runs a
+//! handful of workers, each busy for a full MIP solve per job, so one
+//! list head is never the contended resource.
 //!
 //! Every submission is first looked up in the content-addressed
 //! [`SolutionCache`]; a hit completes the job instantly with the original
@@ -52,8 +51,8 @@
 //!
 //! Waiting is signal-driven, not polled: terminal transitions notify a
 //! per-record-shard condvar ([`JobQueue::wait`]) and a queue-wide condvar
-//! ([`JobQueue::wait_idle`]); idle workers park on a third condvar that
-//! submissions signal, so nobody burns a core spinning.
+//! ([`JobQueue::wait_idle`]); idle workers park on the job list's condvar,
+//! which every submission signals, so nobody burns a core spinning.
 //!
 //! ## Events
 //!
@@ -75,7 +74,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 
@@ -522,7 +520,11 @@ struct ShardSync {
 }
 
 struct Inner {
-    shards: Vec<Injector<Job>>,
+    /// Jobs waiting for a worker, oldest first.
+    jobs: Mutex<VecDeque<Job>>,
+    /// Signaled on every push and on shutdown; workers park on it with
+    /// the `jobs` lock, re-checking the list and `shutdown` under it.
+    work_cond: Condvar,
     records: Vec<ShardSync>,
     cache: SolutionCache,
     /// On-disk tier + warm-start hint store; `None` without a
@@ -549,12 +551,9 @@ struct Inner {
     heuristic_seeded: AtomicU64,
     /// Heuristic/portfolio solves where the greedy found no fit.
     heuristic_infeasible: AtomicU64,
+    /// Set under the `jobs` lock, so a push either lands before it (and
+    /// a worker still drains the job) or sees it and refuses the job.
     shutdown: AtomicBool,
-    /// Bumped on every push into a shard injector; lets idle workers
-    /// detect work that arrived between their last scan and parking.
-    work_epoch: AtomicU64,
-    work_lock: Mutex<()>,
-    work_cond: Condvar,
     idle_lock: Mutex<()>,
     /// Signaled on every terminal transition (for [`JobQueue::wait_idle`]).
     idle_cond: Condvar,
@@ -798,13 +797,34 @@ impl Inner {
         self.idle_cond.notify_all();
     }
 
-    /// Push a job to its shard injector and wake a parked worker.
-    fn push_job(&self, job: Job) {
-        let shard = (job.key.0 as usize) % self.shards.len();
-        self.shards[shard].push(job);
-        self.work_epoch.fetch_add(1, Ordering::Release);
-        drop(self.work_lock.lock());
-        self.work_cond.notify_all();
+    /// Append a job to the list and wake one parked worker. Returns
+    /// `false`, leaving the job unqueued, once the queue is shut down:
+    /// the workers may already have drained the list and exited.
+    fn push_job(&self, job: Job) -> bool {
+        let mut jobs = self.jobs.lock();
+        if self.shutdown.load(Ordering::Acquire) {
+            return false;
+        }
+        jobs.push_back(job);
+        drop(jobs);
+        self.work_cond.notify_one();
+        true
+    }
+
+    /// The next job in submission order, parking while the list is
+    /// empty; `None` once it is empty and the queue is shut down, so
+    /// shutdown still drains queued work.
+    fn next_job(&self) -> Option<Job> {
+        let mut jobs = self.jobs.lock();
+        loop {
+            if let Some(job) = jobs.pop_front() {
+                return Some(job);
+            }
+            if self.shutdown.load(Ordering::Acquire) {
+                return None;
+            }
+            jobs = self.work_cond.wait(jobs);
+        }
     }
 
     /// Resolve an id against the records, classifying misses as expired
@@ -840,7 +860,6 @@ impl std::fmt::Debug for JobQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobQueue")
             .field("workers", &self.num_workers)
-            .field("shards", &self.inner.shards.len())
             .finish()
     }
 }
@@ -868,7 +887,8 @@ impl JobQueue {
             }
         });
         let inner = Arc::new(Inner {
-            shards: (0..workers).map(|_| Injector::new()).collect(),
+            jobs: Mutex::with_rank(VecDeque::new(), crate::ranks::WORK, "queue-jobs"),
+            work_cond: Condvar::new(),
             records: (0..RECORD_SHARDS)
                 .map(|_| ShardSync {
                     state: Mutex::with_rank(
@@ -899,9 +919,6 @@ impl JobQueue {
             heuristic_seeded: AtomicU64::new(0),
             heuristic_infeasible: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            work_epoch: AtomicU64::new(0),
-            work_lock: Mutex::with_rank((), crate::ranks::WORK, "queue-work"),
-            work_cond: Condvar::new(),
             idle_lock: Mutex::with_rank((), crate::ranks::IDLE, "queue-idle"),
             idle_cond: Condvar::new(),
             watchers: Mutex::with_rank(HashMap::new(), crate::ranks::WATCHERS, "queue-watchers"),
@@ -927,18 +944,16 @@ impl JobQueue {
             });
         }
 
-        // Each worker owns a LIFO deque; all deques are mutually stealable.
-        let deques: Vec<Worker<Job>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-        let stealers: Arc<Vec<Stealer<Job>>> = Arc::new(deques.iter().map(Worker::stealer).collect());
-        let handles = deques
-            .into_iter()
-            .enumerate()
-            .map(|(i, local)| {
+        let handles = (0..workers)
+            .map(|i| {
                 let inner = inner.clone();
-                let stealers = stealers.clone();
                 std::thread::Builder::new()
                     .name(format!("mapsrv-worker-{i}"))
-                    .spawn(move || worker_loop(i, local, &inner, &stealers))
+                    .spawn(move || {
+                        while let Some(job) = inner.next_job() {
+                            process(job, &inner);
+                        }
+                    })
                     .expect("spawning a worker thread")
             })
             .collect();
@@ -1051,20 +1066,7 @@ impl JobQueue {
         }
 
         if self.inner.shutdown.load(Ordering::Acquire) {
-            self.inner.finish(
-                id,
-                JobState::Failed,
-                None,
-                None,
-                Some("queue is shut down".into()),
-                false,
-            );
-            return JobTicket {
-                id,
-                state: JobState::Failed,
-                cached: false,
-                key,
-            };
+            return self.refuse_shut_down(id, key);
         }
 
         if let Some(entry) = self.inner.cache.get(key) {
@@ -1110,17 +1112,39 @@ impl JobQueue {
             }
         }
 
-        self.inner.push_job(Job {
+        let job = Job {
             id,
             design,
             board,
             config,
             deadline,
             key,
-        });
+        };
+        if !self.inner.push_job(job) {
+            return self.refuse_shut_down(id, key);
+        }
         JobTicket {
             id,
             state: JobState::Queued,
+            cached: false,
+            key,
+        }
+    }
+
+    /// Fail a submission that arrived after [`JobQueue::shutdown`]: no
+    /// worker will ever pop it.
+    fn refuse_shut_down(&self, id: u64, key: InstanceKey) -> JobTicket {
+        self.inner.finish(
+            id,
+            JobState::Failed,
+            None,
+            None,
+            Some("queue is shut down".into()),
+            false,
+        );
+        JobTicket {
+            id,
+            state: JobState::Failed,
             cached: false,
             key,
         }
@@ -1420,10 +1444,11 @@ impl JobQueue {
 
     /// Drain remaining work and stop the workers. Idempotent.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        // Wake every parked worker so it observes the flag and exits.
-        self.inner.work_epoch.fetch_add(1, Ordering::Release);
-        drop(self.inner.work_lock.lock());
+        {
+            let _jobs = self.inner.jobs.lock();
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
+        // Wake every parked worker so it drains the list and exits.
         self.inner.work_cond.notify_all();
         let handles: Vec<_> = self.workers.lock().drain(..).collect();
         for h in handles {
@@ -1469,64 +1494,9 @@ fn expired_outcome(id: u64) -> JobOutcome {
     }
 }
 
-fn find_job(me: usize, local: &Worker<Job>, inner: &Inner, stealers: &[Stealer<Job>]) -> Option<Job> {
-    if let Some(j) = local.pop() {
-        return Some(j);
-    }
-    // Own shard first, then the other shards, then sibling deques.
-    let n = inner.shards.len();
-    for off in 0..n {
-        let shard = &inner.shards[(me + off) % n];
-        loop {
-            match shard.steal_batch_and_pop(local) {
-                Steal::Success(j) => return Some(j),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-    }
-    for (i, s) in stealers.iter().enumerate() {
-        if i == me {
-            continue;
-        }
-        loop {
-            match s.steal() {
-                Steal::Success(j) => return Some(j),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-    }
-    None
-}
-
-fn worker_loop(me: usize, local: Worker<Job>, inner: &Arc<Inner>, stealers: &[Stealer<Job>]) {
-    loop {
-        // Snapshot the epoch *before* scanning: a submission that lands
-        // mid-scan bumps it, and the parking check below notices.
-        let epoch = inner.work_epoch.load(Ordering::Acquire);
-        if let Some(job) = find_job(me, &local, inner, stealers) {
-            process(job, inner);
-            continue;
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let guard = inner.work_lock.lock();
-        if inner.work_epoch.load(Ordering::Acquire) != epoch
-            || inner.shutdown.load(Ordering::Acquire)
-        {
-            continue; // work (or shutdown) arrived while scanning — rescan
-        }
-        // Bounded park: the epoch handshake above makes lost wakeups
-        // impossible, the timeout is pure belt-and-braces.
-        let _ = inner.work_cond.wait_for(guard, Duration::from_millis(100));
-    }
-}
-
 fn process(job: Job, inner: &Arc<Inner>) {
     // Claim the job: only a still-Queued record may start running. A
-    // cancel that landed while the job sat in the deque already made the
+    // cancel that landed while the job sat in the list already made the
     // record terminal — skip it without touching any counter.
     let cancel = {
         let mut shard = inner.record_shard(job.id).state.lock();
@@ -1954,7 +1924,7 @@ mod tests {
         let (design, board) = small_instance(42);
         let queued = q.submit(design, board, JobConfig::default());
         // Give the worker a beat to pop the big job (not the small one:
-        // FIFO within the shard scan, and the big job was pushed first).
+        // the list is FIFO, and the big job was pushed first).
         std::thread::sleep(Duration::from_millis(100));
         assert_eq!(q.cancel(queued.id), Some(JobState::Cancelled));
         assert_eq!(q.poll(queued.id), Some(JobState::Cancelled));
@@ -1984,6 +1954,44 @@ mod tests {
         let s = q.stats();
         assert!(s.cancelled >= 1, "stats must count cancellations: {s:?}");
         assert!(q.wait_idle(Duration::from_secs(60)), "cancelled jobs drain");
+    }
+
+    #[test]
+    fn jobs_start_in_submission_order() {
+        use crate::events::{Frame, Popped};
+        let q = JobQueue::new(QueueOptions {
+            workers: 1,
+            ..QueueOptions::default()
+        });
+        // Keep the only worker busy, then queue the fast jobs behind it.
+        let (big_design, big_board) = slow_instance();
+        let big = q.submit(big_design, big_board, JobConfig::default());
+        while q.poll(big.id) == Some(JobState::Queued) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let outbox = q.make_outbox(64);
+        q.subscribe(outbox.clone());
+        let ids: Vec<u64> = (0..8)
+            .map(|seed| {
+                let (design, board) = small_instance(300 + seed);
+                q.submit_watched(design, board, JobConfig::default(), None, &outbox, false)
+                    .id
+            })
+            .collect();
+        q.cancel(big.id);
+        assert!(q.wait_idle(Duration::from_secs(60)));
+        let mut started = Vec::new();
+        while let Popped::Frame(frame) = outbox.pop(Some(Instant::now())) {
+            if let Frame::Event(JobEvent::State {
+                job,
+                state: JobState::Running,
+                ..
+            }) = frame
+            {
+                started.push(job);
+            }
+        }
+        assert_eq!(started, ids, "jobs must start in submission order");
     }
 
     #[test]

@@ -9,20 +9,14 @@
 //!
 //! | rank | lock | may be held while taking |
 //! |------|------|--------------------------|
-//! | 10/12 | `ilp::parallel` incumbent / error | progress bridge → `WATCHERS` |
 //! | [`WATCHERS`] | `queue::Inner::watchers` registry | (snapshotted, not nested) |
 //! | [`OUTBOX`] | `events::Outbox` state | watch-snapshot → `RECORD_SHARD` |
 //! | [`RECORD_SHARD`] | per-shard job records | cache/persist/work on submit |
 //! | [`CACHE_SHARD`] | `cache::SolutionCache` shards | spill hook → `PERSIST` |
 //! | [`PERSIST`] | `persist::PersistStore` inner | — |
-//! | [`WORK`] | `queue` work handshake | — |
+//! | [`WORK`] | `queue` job list (workers park on it) | — |
 //! | [`IDLE`] | `queue` idle handshake | — |
 //! | [`WORKER_HANDLES`] | `queue` worker join handles | — |
-//!
-//! The `ilp::parallel` ranks (10 and 12) live in that crate (it cannot
-//! depend on `gmm-service`); they sit below [`WATCHERS`] because the
-//! solver's progress callback can re-enter the queue's event fan-out
-//! while an incumbent update is in flight.
 //!
 //! `tests/lock_rank.rs` pins this table: it drives a queue + cache +
 //! persist + watch workload and asserts the detector observed zero
@@ -39,7 +33,8 @@ pub const RECORD_SHARD: u32 = 40;
 pub const CACHE_SHARD: u32 = 50;
 /// `persist::PersistStore` segment-log state.
 pub const PERSIST: u32 = 60;
-/// `queue` work-available condvar handshake lock.
+/// `queue` list of jobs waiting for a worker; its condvar parks idle
+/// workers.
 pub const WORK: u32 = 70;
 /// `queue` idle-tracking condvar handshake lock.
 pub const IDLE: u32 = 72;

@@ -20,7 +20,7 @@
 //! | [`gmm_heur`] | greedy first-fit heuristic mapper and the `SolveMode` portfolio (heuristic seeds branch-and-bound) |
 //! | [`gmm_sim`] | cycle-level access simulator, adder-free decode checks, cache-hit replay validation |
 //! | [`gmm_workloads`] | Table 3 design points, DSP kernels, random designs, load-test instance streams |
-//! | [`gmm_service`] | batch mapping service: sharded work-stealing job queue, content-addressed solution cache, `mapsrv` TCP daemon |
+//! | [`gmm_service`] | batch mapping service: FIFO job queue, content-addressed solution cache, `mapsrv` TCP daemon |
 //!
 //! ## Quickstart
 //!

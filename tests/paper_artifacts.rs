@@ -1,6 +1,6 @@
 //! One assertion per paper artifact, cross-crate: the canonical facts the
-//! reproduction must preserve, collected in one place (EXPERIMENTS.md
-//! references these).
+//! reproduction must preserve, collected in one place (README.md's
+//! "Paper artifacts" section lists the commands that print them).
 
 use fpga_memmap::prelude::*;
 use fpga_memmap::workloads::{table3_board, table3_design, TABLE3};
