@@ -2045,4 +2045,86 @@ mod tests {
         drop(stream);
         router.request_stop();
     }
+
+    /// `stats` through the router is the per-field fold of the backends'
+    /// own `stats`: counters sum, the eta peak and latency percentiles take
+    /// the max, and the connection counters and uptime are the router's.
+    #[test]
+    fn router_stats_fold_backend_stats_by_kind() {
+        let a = start_backend();
+        let b = start_backend();
+        // Different job mixes straight to each backend: small designs on
+        // `a`, larger ones on `b`, so their solver counters differ.
+        let mut direct_a = Session::connect(a.local_addr()).unwrap();
+        direct_a.submit_batch((0..3).map(spec).collect()).unwrap();
+        direct_a.wait_all(Duration::from_secs(120)).unwrap();
+        let mut direct_b = Session::connect(b.local_addr()).unwrap();
+        let big = (0..2)
+            .map(|seed| {
+                let design = random_design(&RandomDesignSpec {
+                    segments: 14,
+                    seed: 100 + seed,
+                    ..RandomDesignSpec::default()
+                });
+                let board = gmm_arch::Board::prototyping("XCV1000", 4).unwrap();
+                SubmitSpec::new(design, board, JobConfig::default())
+            })
+            .collect();
+        direct_b.submit_batch(big).unwrap();
+        direct_b.wait_all(Duration::from_secs(120)).unwrap();
+        let sa = direct_a.stats().unwrap();
+        let sb = direct_b.stats().unwrap();
+        assert_ne!(sa.eta_nnz_peak, sb.eta_nnz_peak, "{sa:?}\n{sb:?}");
+        assert_ne!(sa.lp_iterations, sb.lp_iterations, "{sa:?}\n{sb:?}");
+
+        let started = Instant::now();
+        let backends = vec![a.local_addr().to_string(), b.local_addr().to_string()];
+        let router = Router::start("127.0.0.1:0", RouterOptions::new(backends)).unwrap();
+        let mut session = Session::connect(router.local_addr()).unwrap();
+        let r = session.stats().unwrap();
+
+        let sum = |f: fn(&ServiceStats) -> u64| f(&sa) + f(&sb);
+        let max = |f: fn(&ServiceStats) -> u64| f(&sa).max(f(&sb));
+        let expected = ServiceStats {
+            jobs_submitted: sum(|s| s.jobs_submitted),
+            jobs_completed: sum(|s| s.jobs_completed),
+            jobs_failed: sum(|s| s.jobs_failed),
+            jobs_cancelled: sum(|s| s.jobs_cancelled),
+            jobs_deadline: sum(|s| s.jobs_deadline),
+            jobs_pruned: sum(|s| s.jobs_pruned),
+            retain_jobs: sum(|s| s.retain_jobs),
+            cache_hits: sum(|s| s.cache_hits),
+            cache_misses: sum(|s| s.cache_misses),
+            cache_entries: sum(|s| s.cache_entries),
+            cache_evictions: sum(|s| s.cache_evictions),
+            cache_cap: sum(|s| s.cache_cap),
+            workers: sum(|s| s.workers),
+            uptime_ms: r.uptime_ms,
+            proto_versions: r.proto_versions,
+            events_dropped: sum(|s| s.events_dropped),
+            lp_iterations: sum(|s| s.lp_iterations),
+            refactorizations: sum(|s| s.refactorizations),
+            eta_nnz_peak: max(|s| s.eta_nnz_peak),
+            disk_entries: sum(|s| s.disk_entries),
+            disk_hits: sum(|s| s.disk_hits),
+            disk_misses: sum(|s| s.disk_misses),
+            disk_corrupt: sum(|s| s.disk_corrupt),
+            hint_entries: sum(|s| s.hint_entries),
+            hint_hits: sum(|s| s.hint_hits),
+            hint_misses: sum(|s| s.hint_misses),
+            incumbent_seeded: sum(|s| s.incumbent_seeded),
+            heuristic_solved: sum(|s| s.heuristic_solved),
+            heuristic_seeded: sum(|s| s.heuristic_seeded),
+            heuristic_infeasible: sum(|s| s.heuristic_infeasible),
+            queue_depth: sum(|s| s.queue_depth),
+            latency_p50_ms: max(|s| s.latency_p50_ms),
+            latency_p95_ms: max(|s| s.latency_p95_ms),
+        };
+        assert_eq!(r, expected);
+        assert_eq!(r.jobs_completed, 5);
+        // The router's own: one v2 client connection, and its own uptime.
+        assert_eq!(r.proto_versions, ProtoVersions { v1: 0, v2: 1 });
+        assert!(r.uptime_ms <= started.elapsed().as_millis() as u64);
+        router.request_stop();
+    }
 }

@@ -1317,6 +1317,66 @@ mod tests {
         }));
     }
 
+    /// The `stats` frame's exact bytes: field names, their order and
+    /// values. Every field holds a distinct value, so a swapped pair or a
+    /// renamed field changes the line.
+    #[test]
+    fn stats_frame_bytes_are_pinned() {
+        let resp = Response::Stats(ServiceStats {
+            jobs_submitted: 1,
+            jobs_completed: 2,
+            jobs_failed: 3,
+            jobs_cancelled: 4,
+            jobs_deadline: 5,
+            jobs_pruned: 6,
+            retain_jobs: 7,
+            cache_hits: 8,
+            cache_misses: 9,
+            cache_entries: 10,
+            cache_evictions: 11,
+            cache_cap: 12,
+            workers: 13,
+            uptime_ms: 14,
+            proto_versions: ProtoVersions { v1: 15, v2: 16 },
+            events_dropped: 17,
+            lp_iterations: 18,
+            refactorizations: 19,
+            eta_nnz_peak: 20,
+            disk_entries: 21,
+            disk_hits: 22,
+            disk_misses: 23,
+            disk_corrupt: 24,
+            hint_entries: 25,
+            hint_hits: 26,
+            hint_misses: 27,
+            incumbent_seeded: 28,
+            heuristic_solved: 29,
+            heuristic_seeded: 30,
+            heuristic_infeasible: 31,
+            queue_depth: 32,
+            latency_p50_ms: 33,
+            latency_p95_ms: 34,
+        });
+        let line = serde_json::to_string(&resp).unwrap();
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"ok":true,"verb":"stats","jobs_submitted":1,"jobs_completed":2,"#,
+                r#""jobs_failed":3,"jobs_cancelled":4,"jobs_deadline":5,"jobs_pruned":6,"#,
+                r#""retain_jobs":7,"cache_hits":8,"cache_misses":9,"cache_entries":10,"#,
+                r#""cache_evictions":11,"cache_cap":12,"workers":13,"uptime_ms":14,"#,
+                r#""proto_versions":{"v1":15,"v2":16},"events_dropped":17,"#,
+                r#""lp_iterations":18,"refactorizations":19,"eta_nnz_peak":20,"#,
+                r#""disk_entries":21,"disk_hits":22,"disk_misses":23,"disk_corrupt":24,"#,
+                r#""hint_entries":25,"hint_hits":26,"hint_misses":27,"incumbent_seeded":28,"#,
+                r#""heuristic_solved":29,"heuristic_seeded":30,"heuristic_infeasible":31,"#,
+                r#""queue_depth":32,"latency_p50_ms":33,"latency_p95_ms":34}"#,
+            )
+        );
+        let back: Response = serde_json::from_str(&line).unwrap();
+        assert_eq!(back, resp);
+    }
+
     #[test]
     fn hello_round_trips_and_negotiates() {
         round_trip_request(Request::Hello { proto: 2 });
