@@ -13,11 +13,6 @@
 //! * **verb-round-trip** — every wire verb named in `protocol.rs` has
 //!   a `fn <verb>_round_trip…` test in its test module, so a new verb
 //!   cannot ship without serialization coverage.
-//! * **stats-rendered** — every public counter field of `QueueStats`
-//!   and `ServiceStats` is rendered by both the `stats` verb
-//!   (`service_stats`, between the `lint:stats-verb` markers) and the
-//!   CLI batch summary line (between the `lint:stats-line` markers),
-//!   so adding a counter without surfacing it anywhere fails CI.
 //! * **options-defaults** — every public `#[non_exhaustive]` struct
 //!   named `*Options` has a `Default` and docs that state its
 //!   defaults; non-exhaustive structs are only usable via
@@ -258,140 +253,6 @@ fn check_verbs(rel: &str, text: &str, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Collect `pub <name>:` field names of `pub struct <name>` from `text`.
-fn struct_fields(text: &str, name: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let header = format!("pub struct {name} ");
-    let header_brace = format!("pub struct {name} {{");
-    let mut inside = false;
-    let mut depth = 0usize;
-    for line in text.lines() {
-        let code = code_of(line);
-        if !inside {
-            if code.contains(&header_brace) || code.trim_start().starts_with(&header) {
-                inside = true;
-                depth = code.matches('{').count();
-            }
-            continue;
-        }
-        depth += code.matches('{').count();
-        depth = depth.saturating_sub(code.matches('}').count());
-        if depth == 0 {
-            break;
-        }
-        let trimmed = code.trim_start();
-        if let Some(rest) = trimmed.strip_prefix("pub ") {
-            if let Some(colon) = rest.find(':') {
-                let field = rest[..colon].trim();
-                if field.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                    fields.push(field.to_string());
-                }
-            }
-        }
-    }
-    fields
-}
-
-/// Text between `// lint:<tag>-begin` and `// lint:<tag>-end`, or an
-/// error finding when the markers are missing (so deleting a marker
-/// cannot silently disable the rule).
-fn marker_region(
-    rel: &str,
-    text: &str,
-    tag: &str,
-    findings: &mut Vec<Finding>,
-) -> Option<String> {
-    let begin = format!("lint:{tag}-begin");
-    let end = format!("lint:{tag}-end");
-    let mut region = String::new();
-    let mut inside = false;
-    let mut seen = false;
-    for line in text.lines() {
-        if line.contains(&begin) {
-            inside = true;
-            seen = true;
-            continue;
-        }
-        if line.contains(&end) {
-            inside = false;
-            continue;
-        }
-        if inside {
-            region.push_str(line);
-            region.push('\n');
-        }
-    }
-    if !seen {
-        findings.push(Finding {
-            rule: "stats-rendered",
-            file: rel.to_string(),
-            line: 0,
-            message: format!("missing `// {begin}` / `// {end}` markers"),
-            source: String::new(),
-        });
-        return None;
-    }
-    Some(region)
-}
-
-/// Rule `stats-rendered`.
-fn check_stats_rendered(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
-    let protocol = fs::read_to_string(root.join("crates/service/src/protocol.rs"))?;
-    let queue = fs::read_to_string(root.join("crates/service/src/queue.rs"))?;
-    let server = fs::read_to_string(root.join("crates/service/src/server.rs"))?;
-    let cli = fs::read_to_string(root.join("crates/cli/src/main.rs"))?;
-
-    let service_fields = struct_fields(&protocol, "ServiceStats");
-    let queue_fields = struct_fields(&queue, "QueueStats");
-    for (name, fields) in [("ServiceStats", &service_fields), ("QueueStats", &queue_fields)] {
-        if fields.is_empty() {
-            findings.push(Finding {
-                rule: "stats-rendered",
-                file: "crates/service/src".to_string(),
-                line: 0,
-                message: format!("no pub fields found for {name}; extraction broke"),
-                source: String::new(),
-            });
-        }
-    }
-
-    if let Some(region) = marker_region("crates/service/src/server.rs", &server, "stats-verb", findings)
-    {
-        for field in &service_fields {
-            // `field: value` or the shorthand `field,` both count.
-            if !region.contains(&format!("{field}:")) && !region.contains(&format!("{field},")) {
-                findings.push(Finding {
-                    rule: "stats-rendered",
-                    file: "crates/service/src/server.rs".to_string(),
-                    line: 0,
-                    message: format!(
-                        "ServiceStats.{field} is not assembled by service_stats (stats verb)"
-                    ),
-                    source: field.clone(),
-                });
-            }
-        }
-    }
-    if let Some(region) = marker_region("crates/cli/src/main.rs", &cli, "stats-line", findings) {
-        for (owner, fields) in [("QueueStats", &queue_fields), ("ServiceStats", &service_fields)] {
-            for field in fields.iter() {
-                if !region.contains(&format!(".{field}")) {
-                    findings.push(Finding {
-                        rule: "stats-rendered",
-                        file: "crates/cli/src/main.rs".to_string(),
-                        line: 0,
-                        message: format!(
-                            "{owner}.{field} is not rendered in the batch summary line"
-                        ),
-                        source: field.clone(),
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Rule `options-defaults`, applied to one source file.
 fn check_options_defaults(rel: &str, text: &str, findings: &mut Vec<Finding>) {
     let lines: Vec<&str> = text.lines().collect();
@@ -500,8 +361,6 @@ pub fn run(root: &Path) -> io::Result<LintReport> {
     let protocol = fs::read_to_string(root.join("crates/service/src/protocol.rs"))?;
     check_verbs("crates/service/src/protocol.rs", &protocol, &mut findings);
 
-    check_stats_rendered(root, &mut findings)?;
-
     let mut files = Vec::new();
     let crates = root.join("crates");
     if crates.is_dir() {
@@ -569,12 +428,6 @@ mod tests {
         let miss = Finding { source: ".unwrap()".to_string(), ..hit.clone() };
         assert!(allows[0].matches(&hit));
         assert!(!allows[0].matches(&miss));
-    }
-
-    #[test]
-    fn struct_fields_extracts_flat_pub_fields() {
-        let src = "pub struct QueueStats {\n    pub submitted: u64,\n    /// doc\n    pub cache: CacheStats,\n    hidden: u64,\n}\n";
-        assert_eq!(struct_fields(src, "QueueStats"), vec!["submitted", "cache"]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ use gmm_ilp::branch::MipOptions;
 use gmm_ilp::StopReason;
 use gmm_service::{
     JobConfig, JobEvent, JobQueue, JobState, LpBasis, LpPricing, MapServer, ProgressFrame,
-    QueueOptions, Session, SubmitSpec,
+    QueueOptions, ServiceStats, Session, SubmitSpec,
 };
 use gmm_sim::{render_report, simulate_mapping, Trace};
 use gmm_workloads::{
@@ -149,6 +149,16 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
     }
+    // A subcommand's help text is the list of flags it accepts.
+    if let Some(help) = subcommand_help(cmd) {
+        if let Some(flag) = rest
+            .iter()
+            .find(|a| a.starts_with("--") && !names_flag(help, a))
+        {
+            eprintln!("error: unknown flag {flag} for gmm {cmd}");
+            return ExitCode::from(2);
+        }
+    }
     let result = match cmd.as_str() {
         // `map` is the historical spelling; both go through the facade.
         "solve" | "map" => cmd_solve(rest),
@@ -210,6 +220,7 @@ USAGE:
             [--seed S] [--addr host:port] [--workers N] [--repeat K]
             [--verify] [--progress] [--cache-cap K] [--cache-dir <dir>]
             [--no-persist] [--retain-jobs N] [--retain-secs T]
+            [--cache-shards N] [--time-limit-secs T] [--max-inflight J]
             [--lp-basis dense|lu] [--lp-pricing dantzig|partial|devex]
             [--overlap] [--ilp-detailed] [--job-deadline-secs T]
             [--solve-mode ilp|heuristic|portfolio]
@@ -295,8 +306,8 @@ claim protocol are executed under every bounded-preemption
 interleaving of a deterministic scheduler (debug builds only — the
 scheduling instrumentation is compiled out of release binaries).
 `lint` runs the workspace invariant scanner: panic-free request paths,
-per-verb round-trip tests, fully-rendered stats counters and
-documented option defaults, with audited exceptions in `lint.allow`.
+per-verb round-trip tests and documented option defaults, with audited
+exceptions in `lint.allow`.
 
 Persistence: --cache-dir <dir> adds an on-disk cache tier (an
 append-only, checksummed segment log) under the memory cache. Optimal
@@ -309,6 +320,14 @@ instances. --no-persist ignores --cache-dir and runs memory-only.
 Exit codes: 0 ok, 1 internal failure, 2 usage error, 3 malformed input,
 4 infeasible instance, 5 deadline exceeded or cancelled.
 ";
+
+/// Whether `help` names `flag` as a whole word (`--lp` is not named by
+/// `--lp-basis`).
+fn names_flag(help: &str, flag: &str) -> bool {
+    help.match_indices(flag).any(|(i, _)| {
+        !help[i + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+    })
+}
 
 /// Per-subcommand `--help` text (golden-tested; see
 /// `crates/cli/tests/help_golden.rs`).
@@ -471,6 +490,7 @@ USAGE:
             [--seed S] [--addr host:port] [--workers N] [--repeat K]
             [--verify] [--progress] [--cache-cap K] [--cache-dir <dir>]
             [--no-persist] [--retain-jobs N] [--retain-secs T]
+            [--cache-shards N] [--time-limit-secs T] [--max-inflight J]
             [--lp-basis dense|lu] [--lp-pricing dantzig|partial|devex]
             [--overlap] [--ilp-detailed] [--job-deadline-secs T]
             [--solve-mode ilp|heuristic|portfolio]
@@ -626,9 +646,6 @@ the cross-cutting rules the compiler cannot see:
                            must answer structured errors
   verb-round-trip          every wire verb in protocol.rs has a
                            fn <verb>_round_trip… test
-  stats-rendered           every QueueStats/ServiceStats counter is
-                           rendered by the stats verb and the batch
-                           summary line (marker-delimited regions)
   options-defaults         every pub #[non_exhaustive] *Options struct
                            has a Default and documents its defaults
 
@@ -1459,102 +1476,15 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     // authoritative even when aggressive --retain-jobs prunes a Failed
     // record to `expired` before this table reads it. (Against --addr the
     // daemon's counter covers every client, so rows are used instead.)
-    let mut queue_failed: Option<u64> = None;
-    // lint:stats-line-begin — `gmm lint` checks every QueueStats and
-    // ServiceStats field is rendered between these markers.
-    let stats_line = if let Some(queue) = session.queue().cloned() {
-        let s = queue.stats();
-        queue_failed = Some(s.failed);
-        let line = format!(
-            "queue: {} submitted, {} done, {} failed, {} cancelled, {} deadline, \
-             {} pruned (retain {}) on {} workers; cache {}/{} hits, {} entries (cap {}), \
-             {} evictions; disk {}/{} hits, {} entries, {} corrupt; hints {}/{} hits, \
-             {} entries, {} seeded; heur {} solved, {} seeded, {} infeasible; \
-             {} events dropped; {} pivots, {} refactorizations \
-             (eta peak {}); depth {}, latency p50/p95 {}/{}ms; up {:.1}s",
-            s.submitted,
-            s.completed,
-            s.failed,
-            s.cancelled,
-            s.deadline,
-            s.pruned,
-            s.retain_jobs,
-            s.workers,
-            s.cache.hits,
-            s.cache.hits + s.cache.misses,
-            s.cache.entries,
-            s.cache.capacity,
-            s.cache.evictions,
-            s.persist.disk_hits,
-            s.persist.disk_hits + s.persist.disk_misses,
-            s.persist.disk_entries,
-            s.persist.disk_corrupt,
-            s.persist.hint_hits,
-            s.persist.hint_hits + s.persist.hint_misses,
-            s.persist.hint_entries,
-            s.incumbent_seeded,
-            s.heuristic_solved,
-            s.heuristic_seeded,
-            s.heuristic_infeasible,
-            s.events_dropped,
-            s.lp_iterations,
-            s.refactorizations,
-            s.eta_nnz_peak,
-            s.queue_depth,
-            s.latency_p50_ms,
-            s.latency_p95_ms,
-            s.uptime.as_secs_f64(),
-        );
+    let stats = session.stats().ok();
+    let local = session.queue().cloned();
+    let queue_failed = local.as_ref().and(stats).map(|s| s.jobs_failed);
+    let stats_line = stats
+        .map(|s| render_stats_line(if local.is_some() { "queue" } else { "server" }, &s))
+        .unwrap_or_default();
+    if let Some(queue) = local {
         queue.shutdown();
-        line
-    } else if let Ok(s) = session.stats() {
-        format!(
-            "server: {} submitted, {} done, {} failed, {} cancelled, {} deadline, \
-             {} pruned (retain {}) on {} workers; cache {}/{} hits, {} entries (cap {}), \
-             {} evictions; disk {}/{} hits, {} entries, {} corrupt; hints {}/{} hits, \
-             {} entries, {} seeded; heur {} solved, {} seeded, {} infeasible; \
-             conns v1/v2 {}/{}, {} events dropped; {} pivots, \
-             {} refactorizations (eta peak {}); depth {}, \
-             latency p50/p95 {}/{}ms; up {:.1}s",
-            s.jobs_submitted,
-            s.jobs_completed,
-            s.jobs_failed,
-            s.jobs_cancelled,
-            s.jobs_deadline,
-            s.jobs_pruned,
-            s.retain_jobs,
-            s.workers,
-            s.cache_hits,
-            s.cache_hits + s.cache_misses,
-            s.cache_entries,
-            s.cache_cap,
-            s.cache_evictions,
-            s.disk_hits,
-            s.disk_hits + s.disk_misses,
-            s.disk_entries,
-            s.disk_corrupt,
-            s.hint_hits,
-            s.hint_hits + s.hint_misses,
-            s.hint_entries,
-            s.incumbent_seeded,
-            s.heuristic_solved,
-            s.heuristic_seeded,
-            s.heuristic_infeasible,
-            s.proto_versions.v1,
-            s.proto_versions.v2,
-            s.events_dropped,
-            s.lp_iterations,
-            s.refactorizations,
-            s.eta_nnz_peak,
-            s.queue_depth,
-            s.latency_p50_ms,
-            s.latency_p95_ms,
-            s.uptime_ms as f64 / 1000.0,
-        )
-    } else {
-        String::new()
-    };
-    // lint:stats-line-end
+    }
     let elapsed = t0.elapsed();
 
     // Per-instance table (final round's states; cache column counts rounds).
@@ -1657,6 +1587,16 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         )));
     }
     Ok(())
+}
+
+/// The batch summary's stats line: `prefix:` then every stats field as
+/// ` name=value`, in wire order.
+fn render_stats_line(prefix: &str, s: &ServiceStats) -> String {
+    let mut line = format!("{prefix}:");
+    for (name, value) in s.fields() {
+        line.push_str(&format!(" {name}={value}"));
+    }
+    line
 }
 
 /// Schema tag of the `gmm arch-sweep` artifact.
@@ -1826,7 +1766,8 @@ fn cmd_arch_sweep(args: &[String]) -> Result<(), CliError> {
     if let Some(queue) = session.queue().cloned() {
         let s = queue.stats();
         println!(
-            "swept {} jobs in {:.2}s; heuristic {} solved, {} seeded, {} infeasible",
+            "swept {} jobs in {:.2}s; heuristic_solved={} heuristic_seeded={} \
+             heuristic_infeasible={}",
             outcomes.len(),
             t0.elapsed().as_secs_f64(),
             s.heuristic_solved,
@@ -2280,17 +2221,19 @@ fn cmd_table3(args: &[String]) -> Result<(), CliError> {
             (Ok(_), Err(_)) if complete_capped => "", // cap marker suffices
             (Ok(_), Err(_)) => " (complete failed)",
         };
+        // A capped complete time is a lower bound, and so is its speedup.
+        let bound = if complete_capped { ">" } else { "" };
         println!(
-            "{:>5} {:>9} {:>7} {:>7} {:>8} | {}{:>11.2} {:>12.2} {:>7.1}x | {:>10.1} {:>10.1}{}",
+            "{:>5} {:>9} {:>7} {:>7} {:>8} | {:>1}{:>11.2} {:>12.2} {:>8} | {:>10.1} {:>10.1}{}",
             point.index,
             point.segments,
             point.banks,
             point.ports,
             point.configs,
-            if complete_capped { ">" } else { " " },
+            bound,
             csecs,
             gsecs,
-            speedup,
+            format!("{bound}{speedup:.1}x"),
             point.paper_complete_secs,
             point.paper_global_secs,
             status,

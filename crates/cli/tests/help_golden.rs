@@ -3,6 +3,8 @@
 //! Every subcommand must answer `--help` with exactly the text recorded
 //! under `tests/golden/` — the CLI's documented surface is part of its
 //! contract. On an intentional change, update the golden file to match.
+//! The help text is also the list of flags a subcommand accepts: any
+//! other `--flag` is a usage error.
 
 use std::process::Command;
 
@@ -67,4 +69,24 @@ fn unknown_subcommand_is_a_usage_error() {
         .output()
         .expect("run gmm");
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn unknown_flag_is_a_usage_error_for_every_subcommand() {
+    for cmd in SUBCOMMANDS {
+        let out = Command::new(env!("CARGO_BIN_EXE_gmm"))
+            .args([cmd, "--bogus-flag"])
+            .output()
+            .expect("run gmm");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "`gmm {cmd} --bogus-flag` must be a usage error"
+        );
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("unknown flag --bogus-flag for gmm {cmd}")),
+            "`gmm {cmd} --bogus-flag` stderr: {stderr}"
+        );
+    }
 }

@@ -1339,96 +1339,21 @@ fn handle_peek(conn: &Arc<Conn>, key: &str) -> Response {
     }
 }
 
-fn zero_stats() -> ServiceStats {
-    ServiceStats {
-        jobs_submitted: 0,
-        jobs_completed: 0,
-        jobs_failed: 0,
-        jobs_cancelled: 0,
-        jobs_deadline: 0,
-        jobs_pruned: 0,
-        retain_jobs: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_entries: 0,
-        cache_evictions: 0,
-        cache_cap: 0,
-        workers: 0,
-        uptime_ms: 0,
-        proto_versions: ProtoVersions::default(),
-        events_dropped: 0,
-        lp_iterations: 0,
-        refactorizations: 0,
-        eta_nnz_peak: 0,
-        disk_entries: 0,
-        disk_hits: 0,
-        disk_misses: 0,
-        disk_corrupt: 0,
-        hint_entries: 0,
-        hint_hits: 0,
-        hint_misses: 0,
-        incumbent_seeded: 0,
-        heuristic_solved: 0,
-        heuristic_seeded: 0,
-        heuristic_infeasible: 0,
-        queue_depth: 0,
-        latency_p50_ms: 0,
-        latency_p95_ms: 0,
-    }
-}
-
-/// Fold one backend's stats into the aggregate: counters and gauges
-/// sum; latency percentiles take the worst shard (a sum would be
-/// meaningless and an average would hide the hot shard).
-fn add_stats(agg: &mut ServiceStats, s: &ServiceStats) {
-    agg.jobs_submitted += s.jobs_submitted;
-    agg.jobs_completed += s.jobs_completed;
-    agg.jobs_failed += s.jobs_failed;
-    agg.jobs_cancelled += s.jobs_cancelled;
-    agg.jobs_deadline += s.jobs_deadline;
-    agg.jobs_pruned += s.jobs_pruned;
-    agg.retain_jobs += s.retain_jobs;
-    agg.cache_hits += s.cache_hits;
-    agg.cache_misses += s.cache_misses;
-    agg.cache_entries += s.cache_entries;
-    agg.cache_evictions += s.cache_evictions;
-    agg.cache_cap += s.cache_cap;
-    agg.workers += s.workers;
-    agg.uptime_ms = agg.uptime_ms.max(s.uptime_ms);
-    agg.events_dropped += s.events_dropped;
-    agg.lp_iterations += s.lp_iterations;
-    agg.refactorizations += s.refactorizations;
-    agg.eta_nnz_peak = agg.eta_nnz_peak.max(s.eta_nnz_peak);
-    agg.disk_entries += s.disk_entries;
-    agg.disk_hits += s.disk_hits;
-    agg.disk_misses += s.disk_misses;
-    agg.disk_corrupt += s.disk_corrupt;
-    agg.hint_entries += s.hint_entries;
-    agg.hint_hits += s.hint_hits;
-    agg.hint_misses += s.hint_misses;
-    agg.incumbent_seeded += s.incumbent_seeded;
-    agg.heuristic_solved += s.heuristic_solved;
-    agg.heuristic_seeded += s.heuristic_seeded;
-    agg.heuristic_infeasible += s.heuristic_infeasible;
-    agg.queue_depth += s.queue_depth;
-    agg.latency_p50_ms = agg.latency_p50_ms.max(s.latency_p50_ms);
-    agg.latency_p95_ms = agg.latency_p95_ms.max(s.latency_p95_ms);
-}
-
-/// Aggregate `stats` across every live backend, plus the router's own
-/// connection counters and uptime.
+/// Aggregate `stats` across every live backend, each field folded by its
+/// kind ([`ServiceStats::merge`]), plus the router's own connection
+/// counters, uptime and dropped events.
 fn handle_stats(conn: &Arc<Conn>) -> Response {
     let addrs: Vec<String> = {
         let st = conn.state.lock();
         st.ring.nodes().to_vec()
     };
-    let mut agg = zero_stats();
+    let mut agg = ServiceStats::default();
     for addr in addrs {
         let Ok(link) = ensure_link(conn, &addr) else {
             continue;
         };
         if let Ok(Response::Stats(s)) = link.roundtrip(&Request::Stats) {
-            add_stats(&mut agg, &s);
+            agg.merge(&s);
         }
     }
     agg.proto_versions = ProtoVersions {
@@ -1639,7 +1564,7 @@ mod tests {
             assert_eq!(out.state, JobState::Done);
         }
         // The two daemons together solved every job exactly once.
-        let total = a.queue().stats().submitted + b.queue().stats().submitted;
+        let total = a.queue().stats().jobs_submitted + b.queue().stats().jobs_submitted;
         assert_eq!(total, 6);
         // Per-job verbs round-trip through the router by router id.
         let out = session.result(receipts[0].job).unwrap();
@@ -1908,7 +1833,7 @@ mod tests {
         }
         assert!(router.reconnects() >= 1, "the crash must be observed");
         // Every job ended up solved by the survivor.
-        assert_eq!(real.queue().stats().completed, 6);
+        assert_eq!(real.queue().stats().jobs_completed, 6);
         stub.join().unwrap();
         drop(session);
         router.request_stop();

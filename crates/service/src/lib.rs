@@ -103,6 +103,6 @@ pub use protocol::{
 };
 pub use queue::{
     JobConfig, JobOutcome, JobQueue, JobSolution, JobState, JobTicket, LpBasis, LpPricing,
-    Overloaded, QueueOptions, QueueStats, RECORD_SHARDS,
+    Overloaded, QueueOptions, RECORD_SHARDS,
 };
 pub use server::MapServer;

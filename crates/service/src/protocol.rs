@@ -340,78 +340,157 @@ pub struct AttachSnapshot {
     pub termination: Option<Termination>,
 }
 
-/// Payload of the `stats` verb.
+/// Declares [`ServiceStats`] from a table with one row per field: its
+/// doc text, its name and its kind. The kind sets the field's type and
+/// how [`ServiceStats::merge`] folds a second node's value into it:
 ///
-/// The retention fields make bounded-memory behavior observable over the
-/// wire: `cache_entries` can never exceed a nonzero `cache_cap`,
-/// `cache_evictions`/`jobs_pruned` are monotonic counters of what
-/// retention removed, and `retain_jobs` echoes the configured per-shard
-/// terminal-record bound (0 = unbounded).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ServiceStats {
-    pub jobs_submitted: u64,
-    pub jobs_completed: u64,
-    pub jobs_failed: u64,
+/// * `sum` — a `u64` counter or gauge that adds across nodes;
+/// * `max` — a `u64` that keeps the worst node (a sum of percentiles or
+///   uptimes would be meaningless, and an average would hide the hot
+///   node);
+/// * `versions` — the nested [`ProtoVersions`] pair, summed per version.
+///
+/// The derived serializer writes the fields in table order, so the
+/// table order is the wire order of the `stats` verb.
+macro_rules! service_stats {
+    ($($(#[doc = $doc:literal])* $name:ident: $kind:ident,)*) => {
+        /// Payload of the `stats` verb.
+        ///
+        /// The retention fields make bounded-memory behavior observable
+        /// over the wire: `cache_entries` can never exceed a nonzero
+        /// `cache_cap`, `cache_evictions`/`jobs_pruned` are monotonic
+        /// counters of what retention removed, and `retain_jobs` echoes
+        /// the configured per-shard terminal-record bound (0 = unbounded).
+        #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+        pub struct ServiceStats {
+            $($(#[doc = $doc])* pub $name: stat_kind!(type $kind),)*
+        }
+
+        impl ServiceStats {
+            /// Fold another node's stats into these, each field by its
+            /// kind (how the router aggregates its backends).
+            pub fn merge(&mut self, other: &ServiceStats) {
+                $(stat_kind!(merge $kind, self.$name, other.$name);)*
+            }
+
+            /// Every field as `(name, value)` in wire order; the
+            /// `proto_versions` pair reads as `proto_versions.v1` and
+            /// `proto_versions.v2`.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$(&stat_kind!(fields $kind, $name, self.$name)[..]),*]
+                    .concat()
+                    .into_iter()
+            }
+        }
+    };
+}
+
+/// Per-kind expansions for [`service_stats!`].
+macro_rules! stat_kind {
+    (type versions) => {
+        ProtoVersions
+    };
+    (type $kind:ident) => {
+        u64
+    };
+    (merge sum, $a:expr, $b:expr) => {
+        $a += $b
+    };
+    (merge max, $a:expr, $b:expr) => {
+        $a = $a.max($b)
+    };
+    (merge versions, $a:expr, $b:expr) => {{
+        $a.v1 += $b.v1;
+        $a.v2 += $b.v2;
+    }};
+    (fields versions, $name:ident, $v:expr) => {
+        [
+            (concat!(stringify!($name), ".v1"), $v.v1),
+            (concat!(stringify!($name), ".v2"), $v.v2),
+        ]
+    };
+    (fields $kind:ident, $name:ident, $v:expr) => {
+        [(stringify!($name), $v)]
+    };
+}
+
+service_stats! {
+    /// Jobs accepted by `submit` or `submit_batch`.
+    jobs_submitted: sum,
+    /// Jobs that finished with a solution.
+    jobs_completed: sum,
+    /// Jobs whose solve failed.
+    jobs_failed: sum,
     /// Jobs that terminated in the structured `cancelled` state.
-    pub jobs_cancelled: u64,
+    jobs_cancelled: sum,
     /// Jobs whose per-job/queue-wide deadline expired mid-solve.
-    pub jobs_deadline: u64,
-    pub jobs_pruned: u64,
-    pub retain_jobs: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_entries: u64,
-    pub cache_evictions: u64,
-    pub cache_cap: u64,
-    pub workers: u64,
-    pub uptime_ms: u64,
+    jobs_deadline: sum,
+    /// Terminal job records removed by retention so far.
+    jobs_pruned: sum,
+    /// Configured per-record-shard terminal retention (0 = unbounded).
+    retain_jobs: sum,
+    /// Memory-tier cache hits.
+    cache_hits: sum,
+    /// Memory-tier cache misses.
+    cache_misses: sum,
+    /// Live memory-tier cache entries.
+    cache_entries: sum,
+    /// Memory-tier entries evicted by the LRU bound.
+    cache_evictions: sum,
+    /// Configured memory-tier capacity (0 = unbounded).
+    cache_cap: sum,
+    /// Worker threads.
+    workers: sum,
+    /// Milliseconds since the queue started.
+    uptime_ms: max,
     /// Connections classified by negotiated protocol version — streaming
     /// adoption is observable per daemon.
-    pub proto_versions: ProtoVersions,
+    proto_versions: versions,
     /// Progress frames dropped by bounded per-connection event queues
     /// (slow watchers); state frames are never dropped.
-    pub events_dropped: u64,
+    events_dropped: sum,
     /// Simplex pivots across all completed solves (cache hits add 0).
-    pub lp_iterations: u64,
+    lp_iterations: sum,
     /// Basis refactorizations across all completed solves.
-    pub refactorizations: u64,
+    refactorizations: sum,
     /// Worst eta-file fill-in any single node LP reached.
-    pub eta_nnz_peak: u64,
+    eta_nnz_peak: max,
     /// Live solution records in the on-disk cache tier (all `disk_*` and
     /// `hint_*` fields are zero on a daemon running without `--cache-dir`).
-    pub disk_entries: u64,
+    disk_entries: sum,
     /// Memory-tier misses answered from the on-disk tier.
-    pub disk_hits: u64,
+    disk_hits: sum,
     /// Memory-tier misses the on-disk tier could not answer either.
-    pub disk_misses: u64,
+    disk_misses: sum,
     /// Persisted records dropped for checksum/framing damage (crash-torn
     /// tails are recovered silently and never counted here).
-    pub disk_corrupt: u64,
+    disk_corrupt: sum,
     /// Live warm-start hint families in the persistent store.
-    pub hint_entries: u64,
+    hint_entries: sum,
     /// Cold solves that found a family warm-start hint on disk.
-    pub hint_hits: u64,
+    hint_hits: sum,
     /// Cold solves whose instance family had no persisted hint.
-    pub hint_misses: u64,
+    hint_misses: sum,
     /// Global solves whose warm-start hint was accepted as the starting
     /// incumbent (a hit only *offers* a seed; this counts acceptances).
-    pub incumbent_seeded: u64,
+    incumbent_seeded: sum,
     /// Solves where the greedy heuristic found a feasible assignment
     /// (`heuristic` and `portfolio` solve modes).
-    pub heuristic_solved: u64,
+    heuristic_solved: sum,
     /// Portfolio solves whose greedy assignment was accepted as the
     /// branch-and-bound starting incumbent.
-    pub heuristic_seeded: u64,
+    heuristic_seeded: sum,
     /// Heuristic/portfolio solves where the greedy found no fit (the ILP
     /// half may still have answered).
-    pub heuristic_infeasible: u64,
-    /// Jobs submitted but not yet terminal right now (queue-depth gauge).
-    pub queue_depth: u64,
+    heuristic_infeasible: sum,
+    /// Jobs submitted but not yet terminal right now (queue-depth gauge;
+    /// queued and running jobs both count).
+    queue_depth: sum,
     /// Median submit→terminal wall latency over the queue's recent
-    /// sample ring, milliseconds.
-    pub latency_p50_ms: u64,
+    /// sample ring (cache hits included), milliseconds.
+    latency_p50_ms: max,
     /// 95th-percentile submit→terminal latency over the recent ring, ms.
-    pub latency_p95_ms: u64,
+    latency_p95_ms: max,
 }
 
 /// Connection counters per negotiated protocol version. A connection
@@ -1375,6 +1454,35 @@ mod tests {
         );
         let back: Response = serde_json::from_str(&line).unwrap();
         assert_eq!(back, resp);
+    }
+
+    /// `fields()` lists exactly the serialized fields, in wire order, with
+    /// the nested `proto_versions` pair flattened to dotted names.
+    #[test]
+    fn stats_fields_follow_the_wire() {
+        let stats = ServiceStats {
+            jobs_submitted: 1,
+            proto_versions: ProtoVersions { v1: 2, v2: 3 },
+            latency_p95_ms: 4,
+            ..ServiceStats::default()
+        };
+        let Value::Object(wire) = stats.to_value() else {
+            panic!("stats serialize to an object");
+        };
+        let mut flat = Vec::new();
+        for (name, value) in wire {
+            match value {
+                Value::Object(inner) => {
+                    flat.extend(inner.into_iter().map(|(k, v)| (format!("{name}.{k}"), v)))
+                }
+                value => flat.push((name, value)),
+            }
+        }
+        let fields: Vec<(String, Value)> = stats
+            .fields()
+            .map(|(name, value)| (name.to_string(), Value::UInt(value)))
+            .collect();
+        assert_eq!(fields, flat);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! memory tier), and each optimal solve also refreshes a warm-start hint
 //! keyed by the coarser [`crate::hash::family_key`] — a cold solve of a
 //! *near-miss* instance (same design/config, different board constants)
-//! seeds branch-and-bound with the family's last assignment. Both tiers'
-//! hit/miss counters ride [`QueueStats::persist`].
+//! seeds branch-and-bound with the family's last assignment. The disk
+//! tier's and the hints' counters ride [`JobQueue::stats`] as its `disk_*`
+//! and `hint_*` fields.
 //!
 //! ## Deadlines and cancellation
 //!
@@ -63,7 +64,7 @@
 //! full [`Termination`]) plus bridged `gmm_api::ProgressObserver`
 //! notifications. Delivery never blocks a worker: outboxes drop their
 //! oldest progress frames past their cap (counted in
-//! [`QueueStats::events_dropped`]); state frames are never dropped.
+//! [`ServiceStats::events_dropped`]); state frames are never dropped.
 //! [`JobQueue::submit_watched`] registers a job with an outbox *between*
 //! record publication and queue push, so a watcher misses nothing even
 //! for microsecond-scale solves.
@@ -86,11 +87,11 @@ use gmm_ilp::branch::MipOptions;
 use gmm_ilp::control::CancelToken;
 use gmm_ilp::{BasisBackend, PricingRule};
 
-use crate::cache::{CacheEntry, CacheStats, SolutionCache};
+use crate::cache::{CacheEntry, SolutionCache};
 use crate::events::Outbox;
 use crate::hash::{canonical_json, family_key, instance_key, InstanceKey};
-use crate::persist::{PersistStats, PersistStore, WarmHint};
-use crate::protocol::{JobEvent, StatsDelta};
+use crate::persist::{PersistStore, WarmHint};
+use crate::protocol::{JobEvent, ProtoVersions, ServiceStats, StatsDelta};
 
 /// Simplex basis backend selection, serializable for the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -353,58 +354,6 @@ struct JobRecord {
     cancel: CancelToken,
 }
 
-/// Aggregate queue counters.
-#[derive(Debug, Clone, Copy)]
-#[non_exhaustive]
-pub struct QueueStats {
-    pub submitted: u64,
-    pub completed: u64,
-    pub failed: u64,
-    /// Jobs that reached the structured `cancelled` terminal state.
-    pub cancelled: u64,
-    /// Jobs whose per-job (or queue-wide) deadline expired mid-solve.
-    pub deadline: u64,
-    /// Terminal job records removed by retention so far.
-    pub pruned: u64,
-    /// Configured per-record-shard terminal retention (0 = unbounded).
-    pub retain_jobs: usize,
-    /// Progress frames dropped by bounded subscriber outboxes (slow
-    /// `watch` readers); state frames are never dropped.
-    pub events_dropped: u64,
-    /// Simplex pivots across all completed solves (cache hits add 0).
-    pub lp_iterations: u64,
-    /// Basis refactorizations across all completed solves.
-    pub refactorizations: u64,
-    /// Worst eta-file fill-in any single node LP reached.
-    pub eta_nnz_peak: u64,
-    /// Solves whose family warm-start hint was accepted as the starting
-    /// incumbent (see [`QueueStats::persist`] for offers).
-    pub incumbent_seeded: u64,
-    /// Solves where the greedy heuristic found a feasible assignment
-    /// (`heuristic` and `portfolio` modes).
-    pub heuristic_solved: u64,
-    /// Portfolio solves whose greedy assignment was accepted as the
-    /// branch-and-bound starting incumbent.
-    pub heuristic_seeded: u64,
-    /// `heuristic`/`portfolio` solves where the greedy found no fit (the
-    /// ILP half may still have answered).
-    pub heuristic_infeasible: u64,
-    /// Jobs submitted but not yet terminal right now (queue-depth gauge;
-    /// includes both queued and running jobs).
-    pub queue_depth: u64,
-    /// Median submit→terminal wall latency over the recent sample ring
-    /// (the last `LATENCY_RING` terminal jobs, cache hits included), ms.
-    pub latency_p50_ms: u64,
-    /// 95th-percentile submit→terminal latency over the recent ring, ms.
-    pub latency_p95_ms: u64,
-    pub workers: usize,
-    pub cache: CacheStats,
-    /// Persistent-tier counters; all-zero when the queue runs without a
-    /// [`QueueOptions::persist_dir`].
-    pub persist: PersistStats,
-    pub uptime: Duration,
-}
-
 /// Queue construction knobs.
 ///
 /// `#[non_exhaustive]`: start from [`QueueOptions::default`] and assign
@@ -482,7 +431,7 @@ impl Default for QueueOptions {
 }
 
 /// Capacity of the submit→terminal latency sample ring backing the
-/// [`QueueStats::latency_p50_ms`]/[`QueueStats::latency_p95_ms`] gauges.
+/// [`ServiceStats::latency_p50_ms`]/[`ServiceStats::latency_p95_ms`] gauges.
 const LATENCY_RING: usize = 512;
 
 /// Structured admission-control rejection: the queue is at its
@@ -1342,36 +1291,52 @@ impl JobQueue {
         }
     }
 
-    pub fn stats(&self) -> QueueStats {
-        let (p50, p95) = self.inner.latency_percentiles();
-        QueueStats {
-            submitted: self.inner.submitted.load(Ordering::Acquire),
-            completed: self.inner.completed.load(Ordering::Acquire),
-            failed: self.inner.failed.load(Ordering::Acquire),
-            cancelled: self.inner.cancelled.load(Ordering::Acquire),
-            deadline: self.inner.deadline_hit.load(Ordering::Acquire),
-            pruned: self.inner.pruned.load(Ordering::Relaxed),
-            retain_jobs: self.inner.retain_jobs,
-            events_dropped: self.inner.events_dropped.load(Ordering::Relaxed),
-            lp_iterations: self.inner.lp_iterations.load(Ordering::Relaxed),
-            refactorizations: self.inner.refactorizations.load(Ordering::Relaxed),
-            eta_nnz_peak: self.inner.eta_nnz_peak.load(Ordering::Relaxed),
-            incumbent_seeded: self.inner.incumbent_seeded.load(Ordering::Relaxed),
-            heuristic_solved: self.inner.heuristic_solved.load(Ordering::Relaxed),
-            heuristic_seeded: self.inner.heuristic_seeded.load(Ordering::Relaxed),
-            heuristic_infeasible: self.inner.heuristic_infeasible.load(Ordering::Relaxed),
-            queue_depth: self.inner.inflight(),
+    /// Every counter and gauge the queue keeps, with its cache tiers
+    /// flattened in. `proto_versions` reads zero: connections are a
+    /// server concept (see [`crate::server::service_stats`]).
+    pub fn stats(&self) -> ServiceStats {
+        let inner = &self.inner;
+        let (p50, p95) = inner.latency_percentiles();
+        let cache = inner.cache.stats();
+        let persist = inner
+            .persist
+            .as_ref()
+            .map(|p| p.stats())
+            .unwrap_or_default();
+        ServiceStats {
+            jobs_submitted: inner.submitted.load(Ordering::Acquire),
+            jobs_completed: inner.completed.load(Ordering::Acquire),
+            jobs_failed: inner.failed.load(Ordering::Acquire),
+            jobs_cancelled: inner.cancelled.load(Ordering::Acquire),
+            jobs_deadline: inner.deadline_hit.load(Ordering::Acquire),
+            jobs_pruned: inner.pruned.load(Ordering::Relaxed),
+            retain_jobs: inner.retain_jobs as u64,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_entries: cache.entries,
+            cache_evictions: cache.evictions,
+            cache_cap: cache.capacity,
+            workers: self.num_workers as u64,
+            uptime_ms: inner.started.elapsed().as_millis() as u64,
+            proto_versions: ProtoVersions::default(),
+            events_dropped: inner.events_dropped.load(Ordering::Relaxed),
+            lp_iterations: inner.lp_iterations.load(Ordering::Relaxed),
+            refactorizations: inner.refactorizations.load(Ordering::Relaxed),
+            eta_nnz_peak: inner.eta_nnz_peak.load(Ordering::Relaxed),
+            disk_entries: persist.disk_entries,
+            disk_hits: persist.disk_hits,
+            disk_misses: persist.disk_misses,
+            disk_corrupt: persist.disk_corrupt,
+            hint_entries: persist.hint_entries,
+            hint_hits: persist.hint_hits,
+            hint_misses: persist.hint_misses,
+            incumbent_seeded: inner.incumbent_seeded.load(Ordering::Relaxed),
+            heuristic_solved: inner.heuristic_solved.load(Ordering::Relaxed),
+            heuristic_seeded: inner.heuristic_seeded.load(Ordering::Relaxed),
+            heuristic_infeasible: inner.heuristic_infeasible.load(Ordering::Relaxed),
+            queue_depth: inner.inflight(),
             latency_p50_ms: p50,
             latency_p95_ms: p95,
-            workers: self.num_workers,
-            cache: self.inner.cache.stats(),
-            persist: self
-                .inner
-                .persist
-                .as_ref()
-                .map(|p| p.stats())
-                .unwrap_or_default(),
-            uptime: self.inner.started.elapsed(),
         }
     }
 
@@ -1753,7 +1718,7 @@ mod tests {
             cold.solution_json,
             "cache hit must be byte-identical"
         );
-        assert_eq!(q.stats().cache.hits, 1);
+        assert_eq!(q.stats().cache_hits, 1);
     }
 
     #[test]
@@ -1824,7 +1789,7 @@ mod tests {
         let out = q.wait(t.id, Duration::from_secs(60)).unwrap();
         assert_eq!(out.state, JobState::Failed);
         assert!(out.error.is_some());
-        assert_eq!(q.stats().failed, 1);
+        assert_eq!(q.stats().jobs_failed, 1);
     }
 
     #[test]
@@ -1843,8 +1808,8 @@ mod tests {
             assert_eq!(q.outcome(id).unwrap().state, JobState::Done);
         }
         let s = q.stats();
-        assert_eq!(s.completed, 12);
-        assert_eq!(s.cache.entries, 12);
+        assert_eq!(s.jobs_completed, 12);
+        assert_eq!(s.cache_entries, 12);
     }
 
     #[test]
@@ -1952,7 +1917,10 @@ mod tests {
         assert!(q.cancel(999_999).is_none(), "unissued id");
 
         let s = q.stats();
-        assert!(s.cancelled >= 1, "stats must count cancellations: {s:?}");
+        assert!(
+            s.jobs_cancelled >= 1,
+            "stats must count cancellations: {s:?}"
+        );
         assert!(q.wait_idle(Duration::from_secs(60)), "cancelled jobs drain");
     }
 
@@ -2011,10 +1979,10 @@ mod tests {
         assert_eq!(out.state, JobState::Deadline, "err: {:?}", out.error);
         assert!(out.error.as_deref().unwrap().contains("deadline"));
         let s = q.stats();
-        assert_eq!(s.deadline, 1);
-        assert_eq!(s.failed, 0, "a deadline is not a failure");
+        assert_eq!(s.jobs_deadline, 1);
+        assert_eq!(s.jobs_failed, 0, "a deadline is not a failure");
         // Deadline-shaped results are never cached.
-        assert_eq!(s.cache.entries, 0);
+        assert_eq!(s.cache_entries, 0);
         assert!(q.wait_idle(Duration::from_secs(5)));
     }
 
@@ -2120,7 +2088,7 @@ mod tests {
         }
 
         let s = q.stats();
-        assert!(s.pruned > 0, "retention must have pruned something");
+        assert!(s.jobs_pruned > 0, "retention must have pruned something");
         // Per-shard bound: with 41 terminal records over 16 shards and
         // retain_jobs = 2, every shard is at (or under) its cap.
         let live: usize = ids
@@ -2220,8 +2188,8 @@ mod tests {
         let s = q.stats();
         // Had retention pruned `b` while it was still queued, its eventual
         // completion would have found no record and never been counted.
-        assert_eq!(s.completed, 22);
-        assert_eq!(s.failed, 0);
+        assert_eq!(s.jobs_completed, 22);
+        assert_eq!(s.jobs_failed, 0);
         // `b` finished; with retain_jobs = 1 its record may itself have
         // been churned out afterwards, but only as a *terminal* record.
         let out = q.wait(b.id, Duration::from_secs(60)).unwrap();
@@ -2248,8 +2216,8 @@ mod tests {
             let out = q.wait(t.id, Duration::from_secs(60)).unwrap();
             assert_eq!(out.state, JobState::Done);
             let s = q.stats();
-            assert_eq!(s.persist.disk_entries, 1, "optimal solve must persist");
-            assert_eq!(s.persist.disk_misses, 1, "the cold submission checked disk");
+            assert_eq!(s.disk_entries, 1, "optimal solve must persist");
+            assert_eq!(s.disk_misses, 1, "the cold submission checked disk");
             out.solution_json.unwrap()
         };
 
@@ -2266,9 +2234,9 @@ mod tests {
         let out = q.outcome(t.id).unwrap();
         assert_eq!(out.solution_json.unwrap().solution_json, cold.solution_json);
         let s = q.stats();
-        assert_eq!(s.persist.disk_hits, 1);
-        assert_eq!(s.persist.disk_corrupt, 0);
-        assert_eq!(s.cache.entries, 1, "the disk hit was promoted to memory");
+        assert_eq!(s.disk_hits, 1);
+        assert_eq!(s.disk_corrupt, 0);
+        assert_eq!(s.cache_entries, 1, "the disk hit was promoted to memory");
         drop(q);
         let _ = std::fs::remove_dir_all(&dir);
     }

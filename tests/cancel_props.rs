@@ -117,9 +117,9 @@ fn cancelling_at_arbitrary_points_never_violates_queue_invariants() {
         // Mid-run invariants.
         let s = queue.stats();
         assert!(
-            s.cache.entries <= CACHE_CAP as u64,
+            s.cache_entries <= CACHE_CAP as u64,
             "cache overflow mid-run: {} > {CACHE_CAP}",
-            s.cache.entries
+            s.cache_entries
         );
     }
     drop(tx);
@@ -134,18 +134,18 @@ fn cancelling_at_arbitrary_points_never_violates_queue_invariants() {
 
     // Counters are conserved and the cache stayed truthful.
     let s = queue.stats();
-    assert_eq!(s.submitted, submitted);
+    assert_eq!(s.jobs_submitted, submitted);
     assert_eq!(
-        s.completed + s.failed + s.cancelled + s.deadline,
+        s.jobs_completed + s.jobs_failed + s.jobs_cancelled + s.jobs_deadline,
         submitted,
         "every job must land in exactly one terminal counter: {s:?}"
     );
     assert_eq!(
-        s.cache.hits + s.cache.misses,
+        s.cache_hits + s.cache_misses,
         submitted,
         "exactly one cache hit-or-miss per submission: {s:?}"
     );
-    assert!(s.cache.entries <= CACHE_CAP as u64);
+    assert!(s.cache_entries <= CACHE_CAP as u64);
 
     // Every issued id answers a structured terminal state on poll, result
     // *and* wait (which must return instantly on a terminal job).

@@ -194,15 +194,15 @@ fn concurrent_submitters_keep_stats_truthful_under_eviction() {
     // Stats stay truthful: live entries within cap and equal to the
     // ground-truth map size, every lookup counted exactly once.
     let s = queue.stats();
-    assert!(s.cache.entries <= CACHE_CAP as u64);
-    assert_eq!(s.cache.entries, queue.cache().len() as u64);
+    assert!(s.cache_entries <= CACHE_CAP as u64);
+    assert_eq!(s.cache_entries, queue.cache().len() as u64);
     assert_eq!(
-        s.cache.hits + s.cache.misses,
-        s.submitted,
+        s.cache_hits + s.cache_misses,
+        s.jobs_submitted,
         "each submission performs exactly one counted lookup"
     );
-    assert_eq!(s.submitted, (DISTINCT * 4) as u64);
-    assert_eq!(s.completed, s.submitted);
-    assert_eq!(s.failed, 0);
+    assert_eq!(s.jobs_submitted, (DISTINCT * 4) as u64);
+    assert_eq!(s.jobs_completed, s.jobs_submitted);
+    assert_eq!(s.jobs_failed, 0);
     queue.shutdown();
 }

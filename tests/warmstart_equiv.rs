@@ -12,7 +12,7 @@
 //! * the service queue: with a `persist_dir`, solving one member of an
 //!   instance family (same design/config, different board constants)
 //!   leaves a hint that a later family member's cold solve picks up —
-//!   observable end-to-end in `QueueStats` as hint hits and accepted
+//!   observable end-to-end in `JobQueue::stats` as `hint_hits` and accepted
 //!   incumbent seeds.
 
 use std::time::Duration;
@@ -164,8 +164,8 @@ fn family_hint_seeds_a_sibling_solve_through_the_queue() {
         JobState::Done
     );
     let after_a = queue.stats();
-    assert_eq!(after_a.persist.hint_entries, 1, "optimal solve must leave a hint");
-    assert_eq!(after_a.persist.hint_hits, 0, "first family member had nothing to read");
+    assert_eq!(after_a.hint_entries, 1, "optimal solve must leave a hint");
+    assert_eq!(after_a.hint_hits, 0, "first family member had nothing to read");
 
     // The sibling is a cold solve (different instance key), but its
     // family hint is on disk: offered, and — being feasible on the
@@ -188,7 +188,7 @@ fn family_hint_seeds_a_sibling_solve_through_the_queue() {
     );
 
     let s = queue.stats();
-    assert!(s.persist.hint_hits >= 1, "sibling solve must read the family hint");
+    assert!(s.hint_hits >= 1, "sibling solve must read the family hint");
     assert!(
         s.incumbent_seeded >= 1,
         "a feasible family hint must be accepted as the incumbent: {s:?}"

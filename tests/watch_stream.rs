@@ -322,14 +322,14 @@ fn stalled_watcher_drops_progress_but_never_blocks_workers() {
     );
 
     let s = queue.stats();
-    assert_eq!(s.submitted, JOBS as u64);
+    assert_eq!(s.jobs_submitted, JOBS as u64);
     assert_eq!(
-        s.completed + s.failed + s.cancelled + s.deadline,
-        s.submitted,
+        s.jobs_completed + s.jobs_failed + s.jobs_cancelled + s.jobs_deadline,
+        s.jobs_submitted,
         "terminal counters must stay conserved: {s:?}"
     );
-    assert_eq!(s.completed, JOBS as u64);
-    assert_eq!(s.cache.hits + s.cache.misses, JOBS as u64);
+    assert_eq!(s.jobs_completed, JOBS as u64);
+    assert_eq!(s.cache_hits + s.cache_misses, JOBS as u64);
     assert!(
         s.events_dropped > 0,
         "the 4-frame cap must have dropped progress under {JOBS} solves"
