@@ -77,7 +77,10 @@ mod tests {
         let mut b = DesignBuilder::new("t");
         b.segment("a", 128, 8).unwrap();
         b.segment("b", 512, 4).unwrap();
-        (b.build().unwrap(), gmm_arch::Board::prototyping("XCV300", 2).unwrap())
+        (
+            b.build().unwrap(),
+            gmm_arch::Board::prototyping("XCV300", 2).unwrap(),
+        )
     }
 
     #[test]

@@ -166,7 +166,11 @@ mod tests {
         ] {
             assert_eq!(t.as_str(), s);
             assert_eq!(format!("{t}"), s);
-            assert_eq!(Termination::from_name(s), Some(t), "token {s} must parse back");
+            assert_eq!(
+                Termination::from_name(s),
+                Some(t),
+                "token {s} must parse back"
+            );
         }
         assert_eq!(Termination::from_name("frobnicated"), None);
         assert!(Termination::Optimal.is_success());

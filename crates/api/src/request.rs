@@ -7,7 +7,9 @@ use gmm_arch::Board;
 use gmm_core::pipeline::{DetailedStrategy, MapRun, Mapper, MapperOptions, MappingOutcome};
 use gmm_core::{CostMatrix, CostWeights, MapError, PreTable, SolverBackend};
 use gmm_design::Design;
-use gmm_heur::{greedy_map_with, greedy_solve_with, HeurInfeasible, HeurOptions, HeurSolution, SolveMode};
+use gmm_heur::{
+    greedy_map_with, greedy_solve_with, HeurInfeasible, HeurOptions, HeurSolution, SolveMode,
+};
 use gmm_ilp::control::{CancelToken, ProgressObserver};
 use gmm_ilp::{BasisBackend, PricingRule};
 
@@ -227,8 +229,14 @@ impl MapRequest {
         self.options.control.phase("preprocess");
         let pre = PreTable::build(&self.design, &self.board);
         let matrix = CostMatrix::build(&self.design, &self.board, &pre);
-        let greedy =
-            greedy_solve_with(&self.design, &self.board, &pre, &matrix, &self.heur_options(), &[]);
+        let greedy = greedy_solve_with(
+            &self.design,
+            &self.board,
+            &pre,
+            &matrix,
+            &self.heur_options(),
+            &[],
+        );
         let mut mapper_options = self.options.clone();
         mapper_options.start_hint = greedy.ok().map(|sol| type_indices(&sol));
         let run =
@@ -314,7 +322,13 @@ impl MapRequest {
         let matrix = CostMatrix::build(&self.design, &self.board, &pre);
         self.options.control.phase("heuristic");
         let mut report = MapReport::default();
-        match greedy_map_with(&self.design, &self.board, &pre, &matrix, &self.heur_options()) {
+        match greedy_map_with(
+            &self.design,
+            &self.board,
+            &pre,
+            &matrix,
+            &self.heur_options(),
+        ) {
             Ok(m) => {
                 report.termination = Termination::Feasible;
                 report.objective = Some(m.objective);

@@ -118,7 +118,10 @@ impl Board {
 
     /// Total storage across the whole board, in bits.
     pub fn total_capacity_bits(&self) -> u64 {
-        self.bank_types.iter().map(BankType::total_capacity_bits).sum()
+        self.bank_types
+            .iter()
+            .map(BankType::total_capacity_bits)
+            .sum()
     }
 
     /// A typical single-FPGA prototyping board: the device's on-chip RAM
@@ -201,7 +204,7 @@ mod tests {
         assert_eq!(b.num_types(), 2);
         assert_eq!(b.total_banks(), 36); // 32 BlockRAM + 4 SRAM
         assert_eq!(b.total_ports(), 68); // 64 + 4
-        // Only the BlockRAM is multi-config: 5 configs * 64 ports.
+                                         // Only the BlockRAM is multi-config: 5 configs * 64 ports.
         assert_eq!(b.total_config_settings(), 320);
     }
 
@@ -209,7 +212,11 @@ mod tests {
     fn hierarchical_board_has_depth() {
         let b = Board::hierarchical("XCV300").unwrap();
         assert_eq!(b.num_types(), 4);
-        let pins: Vec<u32> = b.bank_types().iter().map(BankType::pins_traversed).collect();
+        let pins: Vec<u32> = b
+            .bank_types()
+            .iter()
+            .map(BankType::pins_traversed)
+            .collect();
         assert_eq!(pins, vec![0, 2, 4, 6]);
     }
 

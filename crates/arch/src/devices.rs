@@ -92,47 +92,171 @@ impl Device {
 /// Xilinx Virtex and Virtex-E devices (data sheet \[18\] of the paper).
 /// BlockRAM counts run from 8 (XCV50) to 208 (XCV3200E) — Table 1's range.
 pub const VIRTEX: &[Device] = &[
-    Device { name: "XCV50", family: Family::Virtex, ram_blocks: 8 },
-    Device { name: "XCV100", family: Family::Virtex, ram_blocks: 10 },
-    Device { name: "XCV150", family: Family::Virtex, ram_blocks: 12 },
-    Device { name: "XCV200", family: Family::Virtex, ram_blocks: 14 },
-    Device { name: "XCV300", family: Family::Virtex, ram_blocks: 16 },
-    Device { name: "XCV400", family: Family::Virtex, ram_blocks: 20 },
-    Device { name: "XCV600", family: Family::Virtex, ram_blocks: 24 },
-    Device { name: "XCV800", family: Family::Virtex, ram_blocks: 28 },
-    Device { name: "XCV1000", family: Family::Virtex, ram_blocks: 32 },
-    Device { name: "XCV400E", family: Family::Virtex, ram_blocks: 40 },
-    Device { name: "XCV600E", family: Family::Virtex, ram_blocks: 72 },
-    Device { name: "XCV1000E", family: Family::Virtex, ram_blocks: 96 },
-    Device { name: "XCV1600E", family: Family::Virtex, ram_blocks: 144 },
-    Device { name: "XCV2000E", family: Family::Virtex, ram_blocks: 160 },
-    Device { name: "XCV2600E", family: Family::Virtex, ram_blocks: 184 },
-    Device { name: "XCV3200E", family: Family::Virtex, ram_blocks: 208 },
+    Device {
+        name: "XCV50",
+        family: Family::Virtex,
+        ram_blocks: 8,
+    },
+    Device {
+        name: "XCV100",
+        family: Family::Virtex,
+        ram_blocks: 10,
+    },
+    Device {
+        name: "XCV150",
+        family: Family::Virtex,
+        ram_blocks: 12,
+    },
+    Device {
+        name: "XCV200",
+        family: Family::Virtex,
+        ram_blocks: 14,
+    },
+    Device {
+        name: "XCV300",
+        family: Family::Virtex,
+        ram_blocks: 16,
+    },
+    Device {
+        name: "XCV400",
+        family: Family::Virtex,
+        ram_blocks: 20,
+    },
+    Device {
+        name: "XCV600",
+        family: Family::Virtex,
+        ram_blocks: 24,
+    },
+    Device {
+        name: "XCV800",
+        family: Family::Virtex,
+        ram_blocks: 28,
+    },
+    Device {
+        name: "XCV1000",
+        family: Family::Virtex,
+        ram_blocks: 32,
+    },
+    Device {
+        name: "XCV400E",
+        family: Family::Virtex,
+        ram_blocks: 40,
+    },
+    Device {
+        name: "XCV600E",
+        family: Family::Virtex,
+        ram_blocks: 72,
+    },
+    Device {
+        name: "XCV1000E",
+        family: Family::Virtex,
+        ram_blocks: 96,
+    },
+    Device {
+        name: "XCV1600E",
+        family: Family::Virtex,
+        ram_blocks: 144,
+    },
+    Device {
+        name: "XCV2000E",
+        family: Family::Virtex,
+        ram_blocks: 160,
+    },
+    Device {
+        name: "XCV2600E",
+        family: Family::Virtex,
+        ram_blocks: 184,
+    },
+    Device {
+        name: "XCV3200E",
+        family: Family::Virtex,
+        ram_blocks: 208,
+    },
 ];
 
 /// Altera FLEX 10K devices (data sheet \[2\]). Table 1 brackets the EAB count
 /// between 9 (EPF10K70) and 20 (EPF10K250A).
 pub const FLEX10K: &[Device] = &[
-    Device { name: "EPF10K70", family: Family::Flex10K, ram_blocks: 9 },
-    Device { name: "EPF10K100", family: Family::Flex10K, ram_blocks: 12 },
-    Device { name: "EPF10K130", family: Family::Flex10K, ram_blocks: 16 },
-    Device { name: "EPF10K200", family: Family::Flex10K, ram_blocks: 18 },
-    Device { name: "EPF10K250A", family: Family::Flex10K, ram_blocks: 20 },
+    Device {
+        name: "EPF10K70",
+        family: Family::Flex10K,
+        ram_blocks: 9,
+    },
+    Device {
+        name: "EPF10K100",
+        family: Family::Flex10K,
+        ram_blocks: 12,
+    },
+    Device {
+        name: "EPF10K130",
+        family: Family::Flex10K,
+        ram_blocks: 16,
+    },
+    Device {
+        name: "EPF10K200",
+        family: Family::Flex10K,
+        ram_blocks: 18,
+    },
+    Device {
+        name: "EPF10K250A",
+        family: Family::Flex10K,
+        ram_blocks: 20,
+    },
 ];
 
 /// Altera APEX 20K-E devices (data sheet \[1\]). ESB counts run from 12
 /// (EP20K30E) to 216 (EP20K1500E) — Table 1's range.
 pub const APEX20K: &[Device] = &[
-    Device { name: "EP20K30E", family: Family::Apex20K, ram_blocks: 12 },
-    Device { name: "EP20K60E", family: Family::Apex20K, ram_blocks: 16 },
-    Device { name: "EP20K100E", family: Family::Apex20K, ram_blocks: 26 },
-    Device { name: "EP20K160E", family: Family::Apex20K, ram_blocks: 40 },
-    Device { name: "EP20K200E", family: Family::Apex20K, ram_blocks: 52 },
-    Device { name: "EP20K300E", family: Family::Apex20K, ram_blocks: 72 },
-    Device { name: "EP20K400E", family: Family::Apex20K, ram_blocks: 104 },
-    Device { name: "EP20K600E", family: Family::Apex20K, ram_blocks: 152 },
-    Device { name: "EP20K1000E", family: Family::Apex20K, ram_blocks: 160 },
-    Device { name: "EP20K1500E", family: Family::Apex20K, ram_blocks: 216 },
+    Device {
+        name: "EP20K30E",
+        family: Family::Apex20K,
+        ram_blocks: 12,
+    },
+    Device {
+        name: "EP20K60E",
+        family: Family::Apex20K,
+        ram_blocks: 16,
+    },
+    Device {
+        name: "EP20K100E",
+        family: Family::Apex20K,
+        ram_blocks: 26,
+    },
+    Device {
+        name: "EP20K160E",
+        family: Family::Apex20K,
+        ram_blocks: 40,
+    },
+    Device {
+        name: "EP20K200E",
+        family: Family::Apex20K,
+        ram_blocks: 52,
+    },
+    Device {
+        name: "EP20K300E",
+        family: Family::Apex20K,
+        ram_blocks: 72,
+    },
+    Device {
+        name: "EP20K400E",
+        family: Family::Apex20K,
+        ram_blocks: 104,
+    },
+    Device {
+        name: "EP20K600E",
+        family: Family::Apex20K,
+        ram_blocks: 152,
+    },
+    Device {
+        name: "EP20K1000E",
+        family: Family::Apex20K,
+        ram_blocks: 160,
+    },
+    Device {
+        name: "EP20K1500E",
+        family: Family::Apex20K,
+        ram_blocks: 216,
+    },
 ];
 
 /// Look a device up by name across all families.

@@ -34,7 +34,13 @@ fn print_and_assert_fig2() {
     println!("alpha {}  beta {}", e.split.alpha, e.split.beta);
     println!(
         "FP={} WP={} DP={} WDP={}  CP={}  CW={}  CD={}",
-        e.fp, e.wp, e.dp, e.wdp, e.cp(), e.cw, e.cd
+        e.fp,
+        e.wp,
+        e.dp,
+        e.wdp,
+        e.cp(),
+        e.cw,
+        e.cd
     );
     assert_eq!((e.fp, e.wp, e.dp, e.wdp), (18, 3, 4, 1));
     assert_eq!(e.cp(), 26);

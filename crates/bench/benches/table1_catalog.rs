@@ -12,7 +12,13 @@ use std::hint::black_box;
 fn print_and_assert_table1() {
     println!("\n=== Table 1: FPGA on-chip RAMs ===");
     let rows = [
-        ("Xilinx Virtex", Family::Virtex, VIRTEX, (8u32, 208u32), 4096u64),
+        (
+            "Xilinx Virtex",
+            Family::Virtex,
+            VIRTEX,
+            (8u32, 208u32),
+            4096u64,
+        ),
         ("Altera Flex 10K", Family::Flex10K, FLEX10K, (9, 20), 2048),
         ("Altera Apex E", Family::Apex20K, APEX20K, (12, 216), 2048),
     ];

@@ -17,7 +17,11 @@ fn print_and_assert_table2() {
             o.words[0],
             o.words[1],
             o.words[2],
-            if o.accepted { "" } else { "rejected by Figure 3" }
+            if o.accepted {
+                ""
+            } else {
+                "rejected by Figure 3"
+            }
         );
     }
     let verdict = |w: &[u32]| opts.iter().find(|o| o.words == w).unwrap().accepted;

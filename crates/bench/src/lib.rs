@@ -107,8 +107,16 @@ pub fn render_rows(rows: &[ComparisonRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:>5} {:>7} {:>7} {:>7} {:>8} | {:>12} {:>12} {:>8} | {:>10} {:>10}\n",
-        "point", "#segs", "#banks", "#ports", "#configs",
-        "complete(s)", "global(s)", "speedup", "paper-c(s)", "paper-g(s)"
+        "point",
+        "#segs",
+        "#banks",
+        "#ports",
+        "#configs",
+        "complete(s)",
+        "global(s)",
+        "speedup",
+        "paper-c(s)",
+        "paper-g(s)"
     ));
     for r in rows {
         out.push_str(&format!(
@@ -143,7 +151,9 @@ pub fn time_global(point: &Table3Point) -> Duration {
     opts.backend.set_lp_pricing(pricing_from_env());
     let mapper = Mapper::new(opts);
     let t = Instant::now();
-    let out = mapper.map(&design, &board).expect("table3 points are mappable");
+    let out = mapper
+        .map(&design, &board)
+        .expect("table3 points are mappable");
     std::hint::black_box(out);
     t.elapsed()
 }

@@ -235,7 +235,9 @@ fn run_point(
     let design = table3_design(point, 0xF00D);
     let board = table3_board(point);
     let t0 = Instant::now();
-    let mut request = MapRequest::new(design, board).lp_pricing(rule).deadline(cap);
+    let mut request = MapRequest::new(design, board)
+        .lp_pricing(rule)
+        .deadline(cap);
     if let Some(obs) = observer {
         request = request.observer(obs.clone());
     }
@@ -273,7 +275,11 @@ mod tests {
             assert_eq!(r.table3.len(), 1);
         }
         // All rules must land on the same optima over the same stream.
-        let base = report.rule(PricingRule::Dantzig).unwrap().stream.objective_sum;
+        let base = report
+            .rule(PricingRule::Dantzig)
+            .unwrap()
+            .stream
+            .objective_sum;
         for rule in [PricingRule::Partial, PricingRule::Devex] {
             let got = report.rule(rule).unwrap().stream.objective_sum;
             assert!(

@@ -62,7 +62,11 @@ impl std::fmt::Display for ModelFailure {
         if !self.trace.is_empty() {
             write!(f, "\n  decisions:")?;
             for (i, c) in self.trace.iter().enumerate() {
-                write!(f, "\n    #{i}: picked thread {} of {:?}", c.options[c.picked], c.options)?;
+                write!(
+                    f,
+                    "\n    #{i}: picked thread {} of {:?}",
+                    c.options[c.picked], c.options
+                )?;
             }
         }
         Ok(())
@@ -97,7 +101,13 @@ fn run_one(
     rng_seed: Option<u64>,
 ) -> (Vec<Choice>, Option<String>) {
     let n = run.threads.len();
-    let sched = Arc::new(Sched::new(n, opts.preemption_bound, opts.max_steps, replay, rng_seed));
+    let sched = Arc::new(Sched::new(
+        n,
+        opts.preemption_bound,
+        opts.max_steps,
+        replay,
+        rng_seed,
+    ));
 
     let handles: Vec<_> = run
         .threads
@@ -163,7 +173,11 @@ pub fn explore(name: &str, opts: &ExploreOpts, build: impl Fn() -> ModelRun) -> 
         let (trace, fail) = run_one(build(), opts, replay.clone(), None);
         schedules += 1;
         if let Some(message) = fail {
-            failure = Some(ModelFailure { message, schedule: schedules, trace });
+            failure = Some(ModelFailure {
+                message,
+                schedule: schedules,
+                trace,
+            });
             break;
         }
         match next_replay(&trace) {
@@ -180,15 +194,28 @@ pub fn explore(name: &str, opts: &ExploreOpts, build: impl Fn() -> ModelRun) -> 
     // schedule floor (distinct seeds, duplicates allowed).
     if failure.is_none() {
         while schedules < opts.min_schedules && schedules < opts.max_schedules {
-            let seed = opts.seed.wrapping_add(schedules as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            let seed = opts
+                .seed
+                .wrapping_add(schedules as u64)
+                .wrapping_mul(0x9E3779B97F4A7C15);
             let (trace, fail) = run_one(build(), opts, Vec::new(), Some(seed | 1));
             schedules += 1;
             if let Some(message) = fail {
-                failure = Some(ModelFailure { message, schedule: schedules, trace });
+                failure = Some(ModelFailure {
+                    message,
+                    schedule: schedules,
+                    trace,
+                });
                 break;
             }
         }
     }
 
-    ExploreReport { model: name.to_string(), schedules, dfs_schedules, dfs_complete, failure }
+    ExploreReport {
+        model: name.to_string(),
+        schedules,
+        dfs_schedules,
+        dfs_complete,
+        failure,
+    }
 }

@@ -47,7 +47,11 @@ pub struct Finding {
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.line > 0 {
-            write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
+            write!(
+                f,
+                "{}:{}: [{}] {}",
+                self.file, self.line, self.rule, self.message
+            )
         } else {
             write!(f, "{}: [{}] {}", self.file, self.rule, self.message)
         }
@@ -112,7 +116,9 @@ fn parse_allowlist(text: &str, findings: &mut Vec<Finding>) -> Vec<Allow> {
         }
         let mut parts = line.splitn(3, ':');
         match (parts.next(), parts.next(), parts.next()) {
-            (Some(rule), Some(suffix), Some(substring)) if !rule.is_empty() && !suffix.is_empty() => {
+            (Some(rule), Some(suffix), Some(substring))
+                if !rule.is_empty() && !suffix.is_empty() =>
+            {
                 allows.push(Allow {
                     rule: rule.to_string(),
                     file_suffix: suffix.to_string(),
@@ -425,7 +431,10 @@ mod tests {
             message: String::new(),
             source: ".expect(\"cache stores canonical JSON\")".to_string(),
         };
-        let miss = Finding { source: ".unwrap()".to_string(), ..hit.clone() };
+        let miss = Finding {
+            source: ".unwrap()".to_string(),
+            ..hit.clone()
+        };
         assert!(allows[0].matches(&hit));
         assert!(!allows[0].matches(&miss));
     }

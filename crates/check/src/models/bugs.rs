@@ -33,7 +33,10 @@ pub fn lost_wakeup() -> ModelRun {
         }) as Box<dyn FnOnce() + Send>
     };
 
-    ModelRun { threads: vec![consumer, producer], check: Box::new(|| {}) }
+    ModelRun {
+        threads: vec![consumer, producer],
+        check: Box::new(|| {}),
+    }
 }
 
 /// A textbook ABBA deadlock on two *unranked* mutexes (ranked ones
@@ -57,5 +60,8 @@ pub fn abba() -> ModelRun {
         }) as Box<dyn FnOnce() + Send>
     };
 
-    ModelRun { threads: vec![t1, t2], check: Box::new(|| {}) }
+    ModelRun {
+        threads: vec![t1, t2],
+        check: Box::new(|| {}),
+    }
 }

@@ -19,7 +19,10 @@ const K1: InstanceKey = InstanceKey(1);
 const K2: InstanceKey = InstanceKey(2);
 
 fn entry(payload: &str) -> CacheEntry {
-    CacheEntry { solution_json: payload.to_string(), objective: 1.0 }
+    CacheEntry {
+        solution_json: payload.to_string(),
+        objective: 1.0,
+    }
 }
 
 pub fn build() -> ModelRun {
@@ -106,5 +109,8 @@ pub fn build() -> ModelRun {
         );
     }) as Box<dyn FnOnce()>;
 
-    ModelRun { threads: vec![t1, t2, t3], check }
+    ModelRun {
+        threads: vec![t1, t2, t3],
+        check,
+    }
 }

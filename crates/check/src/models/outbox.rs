@@ -39,8 +39,7 @@ pub fn build() -> ModelRun {
     assert_eq!(watching, vec![JOB]);
     assert!(unknown.is_empty());
 
-    let seen: Arc<parking_lot::Mutex<Vec<Frame>>> =
-        Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let seen: Arc<parking_lot::Mutex<Vec<Frame>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
 
     let t_state = {
         let outbox = outbox.clone();
@@ -131,7 +130,11 @@ pub fn build() -> ModelRun {
             1,
             "exactly one terminal state must be delivered"
         );
-        assert_eq!(state_ranks.last(), Some(&2), "terminal must retire the stream");
+        assert_eq!(
+            state_ranks.last(),
+            Some(&2),
+            "terminal must retire the stream"
+        );
         let lost = dropped.load(Ordering::Relaxed);
         assert!(
             delivered_progress + lost <= PROGRESS_PUSHED,
@@ -141,5 +144,8 @@ pub fn build() -> ModelRun {
         assert_eq!(outbox.dropped_total(), lost);
     }) as Box<dyn FnOnce()>;
 
-    ModelRun { threads: vec![t_state, t_progress, t_watch], check }
+    ModelRun {
+        threads: vec![t_state, t_progress, t_watch],
+        check,
+    }
 }

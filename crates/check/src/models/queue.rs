@@ -44,8 +44,7 @@ struct Shared {
 
 impl Shared {
     fn finished(&self) -> bool {
-        self.done.load(Ordering::Relaxed) + self.cancelled.load(Ordering::Relaxed)
-            >= JOBS as u64
+        self.done.load(Ordering::Relaxed) + self.cancelled.load(Ordering::Relaxed) >= JOBS as u64
     }
 
     fn push(&self, job: usize) {
@@ -157,7 +156,10 @@ pub fn build() -> ModelRun {
     let threads = vec![worker(), worker(), t_submit];
 
     let check = Box::new(move || {
-        assert!(shared.jobs.lock().is_empty(), "workers exited with jobs queued");
+        assert!(
+            shared.jobs.lock().is_empty(),
+            "workers exited with jobs queued"
+        );
         let records = shared.records.lock();
         for (job, state) in records.iter().enumerate() {
             assert!(

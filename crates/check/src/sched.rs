@@ -74,7 +74,12 @@ struct TInfo {
 
 impl TInfo {
     fn new() -> Self {
-        TInfo { state: TState::NotStarted, cv_pending: false, cv_timed: false, cv_timed_out: false }
+        TInfo {
+            state: TState::NotStarted,
+            cv_pending: false,
+            cv_timed: false,
+            cv_timed_out: false,
+        }
     }
 }
 
@@ -246,7 +251,9 @@ impl Sched {
             if let Some(tid) = (0..g.n).find(|&t| {
                 matches!(g.threads[t].state, TState::BlockedCv { .. }) && g.threads[t].cv_timed
             }) {
-                let TState::BlockedCv { cv } = g.threads[tid].state else { unreachable!() };
+                let TState::BlockedCv { cv } = g.threads[tid].state else {
+                    unreachable!()
+                };
                 if let Some(q) = g.cvq.get_mut(&cv) {
                     q.retain(|&w| w != tid);
                 }
@@ -314,13 +321,14 @@ impl Sched {
             } else {
                 0
             };
-            g.trace.push(Choice { options: options.clone(), picked: idx });
+            g.trace.push(Choice {
+                options: options.clone(),
+                picked: idx,
+            });
             options[idx]
         };
 
-        if count_preemption
-            && picked != g.current
-            && g.threads[g.current].state == TState::Runnable
+        if count_preemption && picked != g.current && g.threads[g.current].state == TState::Runnable
         {
             g.preemptions += 1;
         }

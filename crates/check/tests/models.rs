@@ -29,7 +29,11 @@ fn clean_models_hold_under_exploration() {
             report.ok(),
             "model `{}` failed:\n{}",
             model.name,
-            report.failure.as_ref().map(|f| f.to_string()).unwrap_or_default()
+            report
+                .failure
+                .as_ref()
+                .map(|f| f.to_string())
+                .unwrap_or_default()
         );
         assert!(
             report.schedules >= 100,
@@ -43,7 +47,9 @@ fn clean_models_hold_under_exploration() {
 #[test]
 fn explorer_catches_the_planted_lost_wakeup() {
     let report = explore("lost-wakeup", &quick_opts(), bugs::lost_wakeup);
-    let failure = report.failure.expect("the TOCTOU lost wakeup must be found");
+    let failure = report
+        .failure
+        .expect("the TOCTOU lost wakeup must be found");
     assert!(
         failure.message.contains("deadlock"),
         "lost wakeup should surface as a deadlock (consumer sleeps forever): {}",
@@ -76,7 +82,9 @@ fn planted_bugs_are_found_within_the_ci_budget() {
         ("abba", bugs::abba as fn() -> ModelRun),
     ] {
         let report = explore(name, &quick_opts(), build);
-        let failure = report.failure.unwrap_or_else(|| panic!("{name} not caught"));
+        let failure = report
+            .failure
+            .unwrap_or_else(|| panic!("{name} not caught"));
         assert!(
             failure.schedule <= 1000,
             "{name} took {} schedules to find, beyond the CI floor",
@@ -101,9 +109,16 @@ fn random_top_up_meets_the_schedule_floor() {
             Box::new(move || *flag.lock() += 1) as Box<dyn FnOnce() + Send>
         };
         let check = Box::new(move || assert_eq!(*flag.lock(), 2)) as Box<dyn FnOnce()>;
-        ModelRun { threads: vec![t1, t2], check }
+        ModelRun {
+            threads: vec![t1, t2],
+            check,
+        }
     };
-    let opts = ExploreOpts { min_schedules: 64, max_schedules: 200, ..quick_opts() };
+    let opts = ExploreOpts {
+        min_schedules: 64,
+        max_schedules: 200,
+        ..quick_opts()
+    };
     let report = explore("handoff", &opts, build);
     assert!(report.ok());
     assert!(report.dfs_complete, "tiny model must exhaust its DFS space");

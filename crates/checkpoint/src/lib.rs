@@ -161,7 +161,9 @@ mod tests {
 
     #[test]
     fn registered_thread_routes_to_scheduler() {
-        let sched = Arc::new(Counting { yields: AtomicUsize::new(0) });
+        let sched = Arc::new(Counting {
+            yields: AtomicUsize::new(0),
+        });
         register(sched.clone(), 7);
         assert!(is_registered());
         yield_point();

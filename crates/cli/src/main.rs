@@ -181,7 +181,9 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::usage(format!("unknown command `{other}`\n{USAGE}"))),
+        other => Err(CliError::usage(format!(
+            "unknown command `{other}`\n{USAGE}"
+        ))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -738,7 +740,8 @@ fn load_board(path: &str) -> Result<Board, CliError> {
 }
 
 fn write_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), CliError> {
-    let text = serde_json::to_string_pretty(value).map_err(|e| CliError::internal(e.to_string()))?;
+    let text =
+        serde_json::to_string_pretty(value).map_err(|e| CliError::internal(e.to_string()))?;
     std::fs::write(path, text).map_err(|e| CliError::internal(format!("writing {path}: {e}")))
 }
 
@@ -789,8 +792,14 @@ fn backend_from_flags(f: &Flags) -> Result<SolverBackend, CliError> {
 
 fn cmd_solve(args: &[String]) -> Result<(), CliError> {
     let f = Flags::new(args);
-    let design = load_design(f.get("--design").ok_or(CliError::Usage("--design required".into()))?)?;
-    let board = load_board(f.get("--board").ok_or(CliError::Usage("--board required".into()))?)?;
+    let design = load_design(
+        f.get("--design")
+            .ok_or(CliError::Usage("--design required".into()))?,
+    )?;
+    let board = load_board(
+        f.get("--board")
+            .ok_or(CliError::Usage("--board required".into()))?,
+    )?;
 
     let solve_mode = solve_mode_from_flags(&f)?;
 
@@ -827,8 +836,7 @@ fn cmd_solve(args: &[String]) -> Result<(), CliError> {
         // The solver's own stop reason decides the exit: a deadline that
         // fired mid-solve left a best-effort incumbent, not a proven
         // optimum — same exit-5 contract as the facade path.
-        if let Some(reason @ (StopReason::Deadline | StopReason::Cancelled)) =
-            telemetry.stop_reason
+        if let Some(reason @ (StopReason::Deadline | StopReason::Cancelled)) = telemetry.stop_reason
         {
             return Err(CliError::Interrupted(format!(
                 "{} after {elapsed:?}; the assignment above is best-effort, \
@@ -975,8 +983,8 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
             }
             let device = f.get("--device").unwrap_or("XCV1000");
             let srams = f.parse("--srams")?.unwrap_or(4);
-            let board = Board::prototyping(device, srams)
-                .map_err(|e| CliError::usage(e.to_string()))?;
+            let board =
+                Board::prototyping(device, srams).map_err(|e| CliError::usage(e.to_string()))?;
             emit(&f, &board, "board")
         }
         "kernel" => {
@@ -1007,7 +1015,8 @@ fn emit<T: serde::Serialize>(f: &Flags, value: &T, what: &str) -> Result<(), Cli
         None => {
             println!(
                 "{}",
-                serde_json::to_string_pretty(value).map_err(|e| CliError::internal(e.to_string()))?
+                serde_json::to_string_pretty(value)
+                    .map_err(|e| CliError::internal(e.to_string()))?
             );
             Ok(())
         }
@@ -1016,8 +1025,14 @@ fn emit<T: serde::Serialize>(f: &Flags, value: &T, what: &str) -> Result<(), Cli
 
 fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     let f = Flags::new(args);
-    let design = load_design(f.get("--design").ok_or(CliError::Usage("--design required".into()))?)?;
-    let board = load_board(f.get("--board").ok_or(CliError::Usage("--board required".into()))?)?;
+    let design = load_design(
+        f.get("--design")
+            .ok_or(CliError::Usage("--design required".into()))?,
+    )?;
+    let board = load_board(
+        f.get("--board")
+            .ok_or(CliError::Usage("--board required".into()))?,
+    )?;
     let mapper = Mapper::new(MapperOptions::new());
     let out = mapper.map(&design, &board).map_err(classify_map_err)?;
     let trace = match f.parse::<usize>("--random")? {
@@ -1032,9 +1047,17 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_validate(args: &[String]) -> Result<(), CliError> {
     let f = Flags::new(args);
-    let design = load_design(f.get("--design").ok_or(CliError::Usage("--design required".into()))?)?;
-    let board = load_board(f.get("--board").ok_or(CliError::Usage("--board required".into()))?)?;
-    let path = f.get("--mapping").ok_or(CliError::Usage("--mapping required".into()))?;
+    let design = load_design(
+        f.get("--design")
+            .ok_or(CliError::Usage("--design required".into()))?,
+    )?;
+    let board = load_board(
+        f.get("--board")
+            .ok_or(CliError::Usage("--board required".into()))?,
+    )?;
+    let path = f
+        .get("--mapping")
+        .ok_or(CliError::Usage("--mapping required".into()))?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::input(format!("reading {path}: {e}")))?;
     let mapping: gmm_core::DetailedMapping =
@@ -1068,8 +1091,14 @@ fn cmd_validate(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_export(args: &[String]) -> Result<(), CliError> {
     let f = Flags::new(args);
-    let design = load_design(f.get("--design").ok_or(CliError::Usage("--design required".into()))?)?;
-    let board = load_board(f.get("--board").ok_or(CliError::Usage("--board required".into()))?)?;
+    let design = load_design(
+        f.get("--design")
+            .ok_or(CliError::Usage("--design required".into()))?,
+    )?;
+    let board = load_board(
+        f.get("--board")
+            .ok_or(CliError::Usage("--board required".into()))?,
+    )?;
     let pre = gmm_core::PreTable::build(&design, &board);
     let matrix = gmm_core::CostMatrix::build(&design, &board, &pre);
     let weights = CostWeights::default();
@@ -1078,16 +1107,18 @@ fn cmd_export(args: &[String]) -> Result<(), CliError> {
             .map_err(classify_map_err)?
             .model
     } else {
-        gmm_core::global::build_global_model(
-            &design, &board, &pre, &matrix, &weights, false, &[],
-        )
-        .map_err(classify_map_err)?
-        .model
+        gmm_core::global::build_global_model(&design, &board, &pre, &matrix, &weights, false, &[])
+            .map_err(classify_map_err)?
+            .model
     };
     let text = match f.get("--format").unwrap_or("mps") {
         "mps" => gmm_ilp::io::to_mps(&model),
         "lp" => gmm_ilp::io::to_lp(&model),
-        other => return Err(CliError::usage(format!("unknown format `{other}` (mps|lp)"))),
+        other => {
+            return Err(CliError::usage(format!(
+                "unknown format `{other}` (mps|lp)"
+            )))
+        }
     };
     match f.get("--out") {
         Some(path) => {
@@ -1219,7 +1250,9 @@ fn load_batch_instances(f: &Flags) -> Result<Vec<BatchInstance>, CliError> {
             .collect();
         paths.sort();
         if paths.is_empty() {
-            return Err(CliError::input(format!("{dir} contains no .json instances")));
+            return Err(CliError::input(format!(
+                "{dir} contains no .json instances"
+            )));
         }
         let mut out = Vec::with_capacity(paths.len());
         for p in paths {
@@ -1247,7 +1280,9 @@ fn load_batch_instances(f: &Flags) -> Result<Vec<BatchInstance>, CliError> {
         let entries = value
             .as_array()
             .ok_or_else(|| CliError::input(format!("{path}: manifest must be a JSON array")))?;
-        let base = std::path::Path::new(path).parent().unwrap_or(std::path::Path::new("."));
+        let base = std::path::Path::new(path)
+            .parent()
+            .unwrap_or(std::path::Path::new("."));
         let resolve = |p: &str| {
             let pb = std::path::Path::new(p);
             if pb.is_absolute() {
@@ -1353,14 +1388,20 @@ fn render_batch_event(ev: &JobEvent, names: &std::collections::HashMap<u64, Stri
         },
         JobEvent::Progress { job, frame } => match frame {
             ProgressFrame::Phase { phase } => {
-                eprintln!("[{stamp:>7.3}s] job {job} ({}) phase    {phase}", name(*job))
+                eprintln!(
+                    "[{stamp:>7.3}s] job {job} ({}) phase    {phase}",
+                    name(*job)
+                )
             }
             ProgressFrame::Incumbent { objective, nodes } => eprintln!(
                 "[{stamp:>7.3}s] job {job} ({}) incumbent {objective:.3} (node {nodes})",
                 name(*job)
             ),
             ProgressFrame::Nodes { nodes } => {
-                eprintln!("[{stamp:>7.3}s] job {job} ({}) nodes    {nodes}", name(*job))
+                eprintln!(
+                    "[{stamp:>7.3}s] job {job} ({}) nodes    {nodes}",
+                    name(*job)
+                )
             }
         },
         JobEvent::Stats(d) => eprintln!(
@@ -1423,11 +1464,8 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         let specs: Vec<SubmitSpec> = instances
             .iter()
             .map(|inst| {
-                let mut spec = SubmitSpec::new(
-                    inst.design.clone(),
-                    inst.board.clone(),
-                    config.clone(),
-                );
+                let mut spec =
+                    SubmitSpec::new(inst.design.clone(), inst.board.clone(), config.clone());
                 if let Some(d) = job_deadline {
                     spec = spec.deadline_ms(d.as_millis() as u64);
                 }
@@ -1511,12 +1549,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     // Per-round termination tallies (the ROADMAP's "Termination in the
     // batch summary table" item).
     for (i, round) in rounds.iter().enumerate() {
-        let count = |t: Termination| {
-            round
-                .iter()
-                .filter(|r| r.termination == Some(t))
-                .count()
-        };
+        let count = |t: Termination| round.iter().filter(|r| r.termination == Some(t)).count();
         println!(
             "round {:>2}: {} optimal, {} feasible, {} deadline, {} cancelled, {} infeasible",
             i + 1,
@@ -1997,7 +2030,11 @@ fn cmd_check(args: &[String]) -> Result<(), CliError> {
             model.name,
             report.schedules,
             report.dfs_schedules,
-            if report.dfs_complete { ", space exhausted" } else { "" },
+            if report.dfs_complete {
+                ", space exhausted"
+            } else {
+                ""
+            },
             t0.elapsed().as_secs_f64(),
             model.covers,
         );
@@ -2064,8 +2101,16 @@ fn cmd_table1() -> Result<(), CliError> {
     );
     let rows = [
         ("Xilinx Virtex", gmm_arch::Family::Virtex, gmm_arch::VIRTEX),
-        ("Altera Flex10K", gmm_arch::Family::Flex10K, gmm_arch::FLEX10K),
-        ("Altera Apex E", gmm_arch::Family::Apex20K, gmm_arch::APEX20K),
+        (
+            "Altera Flex10K",
+            gmm_arch::Family::Flex10K,
+            gmm_arch::FLEX10K,
+        ),
+        (
+            "Altera Apex E",
+            gmm_arch::Family::Apex20K,
+            gmm_arch::APEX20K,
+        ),
     ];
     for (label, family, devices) in rows {
         let min = devices.iter().map(|d| d.ram_blocks).min().unwrap();
@@ -2248,8 +2293,12 @@ fn parse_points(spec: &str) -> Result<Vec<usize>, CliError> {
     let mut out = Vec::new();
     for part in spec.split(',') {
         if let Some((a, b)) = part.split_once("..") {
-            let a: usize = a.parse().map_err(|e| CliError::usage(format!("--points: {e}")))?;
-            let b: usize = b.parse().map_err(|e| CliError::usage(format!("--points: {e}")))?;
+            let a: usize = a
+                .parse()
+                .map_err(|e| CliError::usage(format!("--points: {e}")))?;
+            let b: usize = b
+                .parse()
+                .map_err(|e| CliError::usage(format!("--points: {e}")))?;
             out.extend(a..=b);
         } else {
             out.push(

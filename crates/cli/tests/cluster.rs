@@ -58,8 +58,8 @@ fn killing_a_backend_mid_batch_loses_no_jobs() {
         backends.push(addr);
     }
 
-    let router = Router::start("127.0.0.1:0", RouterOptions::new(backends.clone()))
-        .expect("start router");
+    let router =
+        Router::start("127.0.0.1:0", RouterOptions::new(backends.clone())).expect("start router");
     let mut session = Session::connect(router.local_addr()).expect("connect to router");
 
     let specs: Vec<SubmitSpec> = (0..32).map(spec).collect();

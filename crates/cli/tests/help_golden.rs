@@ -9,8 +9,23 @@
 use std::process::Command;
 
 const SUBCOMMANDS: &[&str] = &[
-    "solve", "map", "gen", "simulate", "validate", "export", "serve", "route", "batch",
-    "arch-sweep", "bench", "check", "lint", "table1", "table2", "fig2", "table3",
+    "solve",
+    "map",
+    "gen",
+    "simulate",
+    "validate",
+    "export",
+    "serve",
+    "route",
+    "batch",
+    "arch-sweep",
+    "bench",
+    "check",
+    "lint",
+    "table1",
+    "table2",
+    "fig2",
+    "table3",
 ];
 
 fn run_help(cmd: &str) -> String {
@@ -55,7 +70,10 @@ fn top_level_help_covers_every_subcommand_and_exit_code() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     for cmd in SUBCOMMANDS {
-        assert!(text.contains(cmd), "top-level help does not mention `{cmd}`");
+        assert!(
+            text.contains(cmd),
+            "top-level help does not mention `{cmd}`"
+        );
     }
     // The documented exit-code contract, including the dedicated
     // deadline/cancellation code.

@@ -558,7 +558,9 @@ fn resubmit(conn: &Arc<Conn>, rids: Vec<u64>) {
     for rid in rids {
         let planned = {
             let st = conn.state.lock();
-            st.jobs.get(&rid).map(|r| (r.spec.clone(), r.key, r.progress))
+            st.jobs
+                .get(&rid)
+                .map(|r| (r.spec.clone(), r.key, r.progress))
         };
         let Some((spec, key, progress)) = planned else {
             continue;
@@ -665,7 +667,9 @@ fn resubmit(conn: &Arc<Conn>, rids: Vec<u64>) {
 fn fail_job(conn: &Arc<Conn>, rid: u64, msg: &str) {
     {
         let mut st = conn.state.lock();
-        let Some(r) = st.jobs.get_mut(&rid) else { return };
+        let Some(r) = st.jobs.get_mut(&rid) else {
+            return;
+        };
         if r.state.is_terminal() {
             return;
         }

@@ -37,5 +37,8 @@ fn router_answers_hostile_nesting_with_an_error_and_keeps_serving() {
     );
     line.clear();
     reader.read_line(&mut line).unwrap();
-    assert!(line.contains("\"ok\":true") && line.contains("\"stats\""), "got {line:?}");
+    assert!(
+        line.contains("\"ok\":true") && line.contains("\"stats\""),
+        "got {line:?}"
+    );
 }

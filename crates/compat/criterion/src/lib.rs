@@ -24,11 +24,15 @@ pub struct BenchmarkId {
 
 impl BenchmarkId {
     pub fn new(name: impl Into<String>, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId { id: format!("{}/{parameter}", name.into()) }
+        BenchmarkId {
+            id: format!("{}/{parameter}", name.into()),
+        }
     }
 
     pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId { id: parameter.to_string() }
+        BenchmarkId {
+            id: parameter.to_string(),
+        }
     }
 }
 
@@ -42,7 +46,10 @@ impl Default for Criterion {
     fn default() -> Self {
         let quick = std::env::args().any(|a| a == "--quick")
             || std::env::var_os("CRITERION_QUICK").is_some();
-        Criterion { sample_size: 10, quick }
+        Criterion {
+            sample_size: 10,
+            quick,
+        }
     }
 }
 
@@ -133,7 +140,9 @@ impl Bencher {
 }
 
 fn run_benchmark(id: &str, samples: usize, mut run: impl FnMut(&mut Bencher)) {
-    let mut b = Bencher { elapsed: Duration::ZERO };
+    let mut b = Bencher {
+        elapsed: Duration::ZERO,
+    };
     run(&mut b); // warm-up (also the measurement when the routine never calls iter)
     let mut times: Vec<f64> = Vec::with_capacity(samples);
     for _ in 0..samples {
@@ -172,9 +181,17 @@ fn format_ns(ns: f64) -> String {
 fn write_estimates(id: &str, mean: f64, median: f64, min: f64, max: f64) {
     let sanitized: String = id
         .chars()
-        .map(|c| if c.is_alphanumeric() || c == '/' || c == '_' || c == '-' { c } else { '_' })
+        .map(|c| {
+            if c.is_alphanumeric() || c == '/' || c == '_' || c == '-' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
-    let dir = std::path::Path::new("target/criterion").join(sanitized).join("new");
+    let dir = std::path::Path::new("target/criterion")
+        .join(sanitized)
+        .join("new");
     if std::fs::create_dir_all(&dir).is_err() {
         return; // benches must not fail on read-only targets
     }
@@ -218,7 +235,10 @@ mod tests {
 
     #[test]
     fn group_and_function_run() {
-        let mut c = Criterion { sample_size: 2, quick: false };
+        let mut c = Criterion {
+            sample_size: 2,
+            quick: false,
+        };
         let mut g = c.benchmark_group("unit");
         g.sample_size(2);
         let mut runs = 0;
@@ -232,7 +252,10 @@ mod tests {
 
     #[test]
     fn bench_with_input_passes_input() {
-        let mut c = Criterion { sample_size: 1, quick: true };
+        let mut c = Criterion {
+            sample_size: 1,
+            quick: true,
+        };
         let mut g = c.benchmark_group("unit2");
         g.bench_with_input(BenchmarkId::from_parameter("p7"), &7u32, |b, &x| {
             b.iter(|| black_box(x * 2));

@@ -60,7 +60,12 @@ pub mod detect {
 
     impl LockMeta {
         pub(crate) fn new(rank: u32, name: &'static str) -> Self {
-            LockMeta { rank, name, holder: AtomicUsize::new(0), readers: AtomicUsize::new(0) }
+            LockMeta {
+                rank,
+                name,
+                holder: AtomicUsize::new(0),
+                readers: AtomicUsize::new(0),
+            }
         }
     }
 
@@ -164,7 +169,11 @@ pub mod detect {
             meta.readers.fetch_add(1, Ordering::AcqRel);
         }
         HELD.with(|h| {
-            h.borrow_mut().push(Held { id, rank: meta.rank, name: meta.name });
+            h.borrow_mut().push(Held {
+                id,
+                rank: meta.rank,
+                name: meta.name,
+            });
         });
     }
 
@@ -191,7 +200,13 @@ pub mod detect {
     pub(crate) fn about_to_block(meta: &LockMeta) {
         let me = thread_id();
         let mut map = waiting();
-        map.insert(me, WaitEdge { name: meta.name, holder: HolderRef(&meta.holder) });
+        map.insert(
+            me,
+            WaitEdge {
+                name: meta.name,
+                holder: HolderRef(&meta.holder),
+            },
+        );
         let mut cur = me;
         let mut path = String::new();
         for _ in 0..=map.len() {
@@ -201,7 +216,11 @@ pub mod detect {
             // the edge is in the map (we hold the map mutex).
             let holder = unsafe { (*edge.holder.0).load(Ordering::Acquire) };
             use std::fmt::Write as _;
-            let _ = write!(path, "thread {cur} waits on `{}` held by thread {holder}; ", edge.name);
+            let _ = write!(
+                path,
+                "thread {cur} waits on `{}` held by thread {holder}; ",
+                edge.name
+            );
             if holder == 0 || holder == cur {
                 break;
             }
@@ -274,7 +293,10 @@ impl<T: ?Sized> Mutex<T> {
             // real acquire is uncontended among registered threads.
             let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             detect::note_acquired(&self.meta, id, true);
-            return MutexGuard { inner: Some(inner), lock: self };
+            return MutexGuard {
+                inner: Some(inner),
+                lock: self,
+            };
         }
         let inner = match self.inner.try_lock() {
             Ok(g) => g,
@@ -287,7 +309,10 @@ impl<T: ?Sized> Mutex<T> {
             }
         };
         detect::note_acquired(&self.meta, id, true);
-        MutexGuard { inner: Some(inner), lock: self }
+        MutexGuard {
+            inner: Some(inner),
+            lock: self,
+        }
     }
 
     /// Like parking_lot, never returns a poison error: a panic while
@@ -327,19 +352,25 @@ pub struct MutexGuard<'a, T: ?Sized> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard accessed across a condvar wait")
+        self.inner
+            .as_ref()
+            .expect("guard accessed across a condvar wait")
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard accessed across a condvar wait")
+        self.inner
+            .as_mut()
+            .expect("guard accessed across a condvar wait")
     }
 }
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else { return };
+        let Some(inner) = self.inner.take() else {
+            return;
+        };
         #[cfg(debug_assertions)]
         let id = {
             let id = checkpoint::obj_id(self.lock);
@@ -392,7 +423,10 @@ impl<T: ?Sized> RwLock<T> {
         if checkpoint::lock_acquire(id, false) {
             let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
             detect::note_acquired(&self.meta, id, false);
-            return RwLockReadGuard { inner: Some(inner), lock: self };
+            return RwLockReadGuard {
+                inner: Some(inner),
+                lock: self,
+            };
         }
         let inner = match self.inner.try_read() {
             Ok(g) => g,
@@ -405,7 +439,10 @@ impl<T: ?Sized> RwLock<T> {
             }
         };
         detect::note_acquired(&self.meta, id, false);
-        RwLockReadGuard { inner: Some(inner), lock: self }
+        RwLockReadGuard {
+            inner: Some(inner),
+            lock: self,
+        }
     }
 
     /// Shared (read) acquire; non-poisoning.
@@ -425,7 +462,10 @@ impl<T: ?Sized> RwLock<T> {
         if checkpoint::lock_acquire(id, true) {
             let inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
             detect::note_acquired(&self.meta, id, true);
-            return RwLockWriteGuard { inner: Some(inner), lock: self };
+            return RwLockWriteGuard {
+                inner: Some(inner),
+                lock: self,
+            };
         }
         let inner = match self.inner.try_write() {
             Ok(g) => g,
@@ -438,7 +478,10 @@ impl<T: ?Sized> RwLock<T> {
             }
         };
         detect::note_acquired(&self.meta, id, true);
-        RwLockWriteGuard { inner: Some(inner), lock: self }
+        RwLockWriteGuard {
+            inner: Some(inner),
+            lock: self,
+        }
     }
 
     /// Exclusive (write) acquire; non-poisoning.
@@ -480,7 +523,9 @@ impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
 
 impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else { return };
+        let Some(inner) = self.inner.take() else {
+            return;
+        };
         #[cfg(debug_assertions)]
         let id = {
             let id = checkpoint::obj_id(self.lock);
@@ -516,7 +561,9 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 
 impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else { return };
+        let Some(inner) = self.inner.take() else {
+            return;
+        };
         #[cfg(debug_assertions)]
         let id = {
             let id = checkpoint::obj_id(self.lock);
@@ -742,7 +789,10 @@ mod tests {
     fn detector_is_compiled_out_in_release() {
         use std::mem::size_of;
         assert_eq!(size_of::<Mutex<u64>>(), size_of::<std::sync::Mutex<u64>>());
-        assert_eq!(size_of::<RwLock<u64>>(), size_of::<std::sync::RwLock<u64>>());
+        assert_eq!(
+            size_of::<RwLock<u64>>(),
+            size_of::<std::sync::RwLock<u64>>()
+        );
         assert_eq!(size_of::<Mutex<()>>(), size_of::<std::sync::Mutex<()>>());
     }
 
@@ -773,10 +823,7 @@ mod tests {
             })
             .join()
             .expect_err("inverted acquire order must panic");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("lock rank violation"), "got: {msg}");
             assert!(detect::rank_violations() > before);
         }
@@ -827,7 +874,11 @@ mod tests {
                 .filter_map(|r| r.err())
                 .map(|e| e.downcast_ref::<String>().cloned().unwrap_or_default())
                 .collect();
-            assert_eq!(panics.len(), 1, "exactly one thread closes the cycle: {panics:?}");
+            assert_eq!(
+                panics.len(),
+                1,
+                "exactly one thread closes the cycle: {panics:?}"
+            );
             assert!(panics[0].contains("deadlock"), "got: {}", panics[0]);
             assert!(detect::deadlocks_detected() > before);
         }

@@ -198,7 +198,9 @@ impl Serialize for f32 {
 
 impl Deserialize for f32 {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64().map(|f| f as f32).ok_or_else(|| DeError::new("expected number"))
+        v.as_f64()
+            .map(|f| f as f32)
+            .ok_or_else(|| DeError::new("expected number"))
     }
 }
 
@@ -225,7 +227,9 @@ impl Serialize for String {
 
 impl Deserialize for String {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str().map(str::to_owned).ok_or_else(|| DeError::new("expected string"))
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| DeError::new("expected string"))
     }
 }
 
@@ -253,7 +257,9 @@ impl Serialize for char {
 
 impl Deserialize for char {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = v.as_str().ok_or_else(|| DeError::new("expected single-char string"))?;
+        let s = v
+            .as_str()
+            .ok_or_else(|| DeError::new("expected single-char string"))?;
         let mut chars = s.chars();
         match (chars.next(), chars.next()) {
             (Some(c), None) => Ok(c),
@@ -314,7 +320,11 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
-        Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
+        Value::Object(
+            self.iter()
+                .map(|(k, v)| (k.clone(), v.to_value()))
+                .collect(),
+        )
     }
 }
 

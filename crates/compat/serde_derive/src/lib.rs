@@ -73,9 +73,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         let pushes: Vec<String> = fields
                             .iter()
                             .map(|f| {
-                                format!(
-                                    "(\"{f}\".to_string(), ::serde::Serialize::to_value({f}))"
-                                )
+                                format!("(\"{f}\".to_string(), ::serde::Serialize::to_value({f}))")
                             })
                             .collect();
                         format!(
@@ -333,16 +331,12 @@ fn named_fields(stream: TokenStream) -> Vec<String> {
         .map(|part| {
             let part = strip_attrs(part);
             let part = match part {
-                [TokenTree::Ident(id), rest @ ..] if id.to_string() == "pub" => {
-                    match rest {
-                        [TokenTree::Group(g), tail @ ..]
-                            if g.delimiter() == Delimiter::Parenthesis =>
-                        {
-                            tail
-                        }
-                        _ => rest,
+                [TokenTree::Ident(id), rest @ ..] if id.to_string() == "pub" => match rest {
+                    [TokenTree::Group(g), tail @ ..] if g.delimiter() == Delimiter::Parenthesis => {
+                        tail
                     }
-                }
+                    _ => rest,
+                },
                 _ => part,
             };
             match part {
@@ -363,9 +357,10 @@ fn variants(stream: TokenStream, enum_name: &str) -> Vec<Variant> {
         .map(|part| {
             let part = strip_attrs(part);
             match part {
-                [TokenTree::Ident(id)] => {
-                    Variant { name: id.to_string(), kind: VariantKind::Unit }
-                }
+                [TokenTree::Ident(id)] => Variant {
+                    name: id.to_string(),
+                    kind: VariantKind::Unit,
+                },
                 [TokenTree::Ident(id), TokenTree::Group(g)]
                     if g.delimiter() == Delimiter::Parenthesis =>
                 {

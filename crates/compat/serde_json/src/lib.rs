@@ -71,19 +71,26 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
             }
         }
         Value::Str(s) => write_string(out, s),
-        Value::Array(items) => write_seq(out, items.iter(), indent, depth, ('[', ']'), |o, it, d| {
-            write_value(o, it, indent, d)
-        }),
-        Value::Object(pairs) => {
-            write_seq(out, pairs.iter(), indent, depth, ('{', '}'), |o, (k, it), d| {
+        Value::Array(items) => {
+            write_seq(out, items.iter(), indent, depth, ('[', ']'), |o, it, d| {
+                write_value(o, it, indent, d)
+            })
+        }
+        Value::Object(pairs) => write_seq(
+            out,
+            pairs.iter(),
+            indent,
+            depth,
+            ('{', '}'),
+            |o, (k, it), d| {
                 write_string(o, k);
                 o.push(':');
                 if indent.is_some() {
                     o.push(' ');
                 }
                 write_value(o, it, indent, d);
-            })
-        }
+            },
+        ),
     }
 }
 
@@ -148,7 +155,11 @@ struct Parser<'a> {
 }
 
 fn parse(text: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -212,10 +223,7 @@ impl<'a> Parser<'a> {
 
     /// Parse one array or object one level deeper, refusing to go past
     /// [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<Value, Error>,
-    ) -> Result<Value, Error> {
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
         if self.depth == MAX_DEPTH {
             return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
         }
@@ -313,9 +321,7 @@ impl<'a> Parser<'a> {
                                 std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
-                            s.push(
-                                char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?,
-                            );
+                            s.push(char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?);
                             self.pos += 4;
                         }
                         _ => return Err(self.err("bad escape")),
@@ -347,7 +353,9 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid utf8 in number"))?;
         if is_float {
-            text.parse::<f64>().map(Value::Float).map_err(|_| self.err("bad number"))
+            text.parse::<f64>()
+                .map(Value::Float)
+                .map_err(|_| self.err("bad number"))
         } else if text.starts_with('-') {
             text.parse::<i64>()
                 .map(Value::Int)
@@ -405,7 +413,10 @@ mod tests {
                 let nest = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
                 assert!(parse(&nest(MAX_DEPTH)).is_ok());
                 let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
-                assert_eq!(err.0, format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"));
+                assert_eq!(
+                    err.0,
+                    format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+                );
             })
             .unwrap()
             .join()

@@ -343,7 +343,9 @@ mod tests {
             crate::mapping::ValidationPolicy::default(),
         );
         assert!(
-            strict.iter().any(|v| matches!(v, crate::mapping::Violation::PortShared { .. })),
+            strict
+                .iter()
+                .any(|v| matches!(v, crate::mapping::Violation::PortShared { .. })),
             "sharing must be visible to the strict policy"
         );
         let relaxed = validate_detailed_policy(&design, &board, &detailed, arb.policy());
@@ -415,5 +417,4 @@ mod tests {
         assert_eq!(a.global.type_of[1].0, 0);
         assert_eq!(a.overflow[0], 1);
     }
-
 }

@@ -384,7 +384,8 @@ mod tests {
         let w = CostWeights::default();
         let backend = SolverBackend::Serial(MipOptions::default());
 
-        let global = solve_global(&design, &board, &pre, &matrix, &w, &backend, false, &[]).unwrap();
+        let global =
+            solve_global(&design, &board, &pre, &matrix, &w, &backend, false, &[]).unwrap();
         let (complete, stats) =
             solve_complete(&design, &board, &pre, &matrix, &w, &backend, false).unwrap();
         let cg = global.cost.weighted(&w);
@@ -404,10 +405,8 @@ mod tests {
         let pre = PreTable::build(&design, &board);
         let matrix = CostMatrix::build(&design, &board, &pre);
         let w = CostWeights::default();
-        let gm = crate::global::build_global_model(
-            &design, &board, &pre, &matrix, &w, false, &[],
-        )
-        .unwrap();
+        let gm = crate::global::build_global_model(&design, &board, &pre, &matrix, &w, false, &[])
+            .unwrap();
         let cm = build_complete_model(&design, &board, &pre, &matrix, &w, false).unwrap();
         assert!(
             cm.stats.variables > 5 * gm.model.num_vars(),

@@ -96,9 +96,7 @@ pub struct CostMatrix {
 
 impl CostMatrix {
     pub fn build(design: &Design, board: &Board, pre: &PreTable) -> Self {
-        Self::build_with_pins(design, board, pre, |_, t| {
-            board.bank(t).pins_traversed()
-        })
+        Self::build_with_pins(design, board, pre, |_, t| board.bank(t).pins_traversed())
     }
 
     /// Build with a per-(segment, type) pin-traversal override — the hook
@@ -121,8 +119,7 @@ impl CostMatrix {
                         let profile = design.profile(d);
                         let t_pins = pins(d, t) as f64;
                         PairCost {
-                            latency: profile
-                                .latency_cycles(bank.read_latency, bank.write_latency)
+                            latency: profile.latency_cycles(bank.read_latency, bank.write_latency)
                                 as f64,
                             pin_delay: profile.total() as f64 * t_pins,
                             pin_io: (ceil_log2(e.cd.max(1)) as f64 + e.cw as f64) * t_pins,

@@ -310,7 +310,15 @@ mod tests {
     fn fragment_ep_matches_pretable_cp() {
         // Property: fragment EP sum == CP_dt for assorted shapes.
         let bank = fig2_bank(12);
-        for (d, w) in [(1u32, 1u32), (16, 8), (55, 17), (100, 3), (128, 16), (7, 7), (129, 9)] {
+        for (d, w) in [
+            (1u32, 1u32),
+            (16, 8),
+            (55, 17),
+            (100, 3),
+            (128, 16),
+            (7, 7),
+            (129, 9),
+        ] {
             let frags = fragment_segment(&bank, SegmentId(0), d, w);
             let entry = crate::preprocess::preprocess_pair(&bank, d, w);
             let ep_sum: u32 = frags.iter().map(|f| f.ep).sum();
@@ -375,7 +383,8 @@ mod tests {
     fn global_then_detailed_validates() {
         let mut b = DesignBuilder::new("d");
         for i in 0..8 {
-            b.segment(format!("s{i}"), 40 + 17 * i, 3 + (i % 6)).unwrap();
+            b.segment(format!("s{i}"), 40 + 17 * i, 3 + (i % 6))
+                .unwrap();
         }
         let design = b.build().unwrap();
         let board = Board::new(

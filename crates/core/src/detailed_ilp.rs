@@ -17,7 +17,9 @@
 //! exactly as §4.2 prescribes. The constructive mapper remains the
 //! fallback when the ILP hits its node budget.
 
-use crate::detailed::{fragment_segment, map_detailed, DetailedFailure, FragSpec, InstanceAllocator};
+use crate::detailed::{
+    fragment_segment, map_detailed, DetailedFailure, FragSpec, InstanceAllocator,
+};
 use crate::mapping::{DetailedMapping, Fragment, GlobalAssignment};
 use crate::preprocess::PreTable;
 use gmm_arch::{BankTypeId, Board};
@@ -85,7 +87,13 @@ pub fn map_detailed_ilp(
             specs.extend(fragment_segment(bank, d, seg.depth, seg.width));
         }
 
-        match pack_with_ilp(&specs, bank.ports, bank.capacity_bits(), bank.instances, opts) {
+        match pack_with_ilp(
+            &specs,
+            bank.ports,
+            bank.capacity_bits(),
+            bank.instances,
+            opts,
+        ) {
             Some(placement) => {
                 realize_packing(tid, bank, &specs, &placement, &mut mapping).map_err(|_| {
                     DetailedFailure {
@@ -296,8 +304,14 @@ mod tests {
         )
         .unwrap();
 
-        let ilp = map_detailed_ilp(&design, &board, &pre, &global, &DetailedIlpOptions::default())
-            .unwrap();
+        let ilp = map_detailed_ilp(
+            &design,
+            &board,
+            &pre,
+            &global,
+            &DetailedIlpOptions::default(),
+        )
+        .unwrap();
         assert!(validate_detailed(&design, &board, &ilp).is_empty());
 
         let constructive = map_detailed(&design, &board, &pre, &global).unwrap();
@@ -320,8 +334,14 @@ mod tests {
             type_of: vec![BankTypeId(0)],
             cost: Default::default(),
         };
-        let m = map_detailed_ilp(&design, &board, &pre, &global, &DetailedIlpOptions::default())
-            .unwrap();
+        let m = map_detailed_ilp(
+            &design,
+            &board,
+            &pre,
+            &global,
+            &DetailedIlpOptions::default(),
+        )
+        .unwrap();
         assert!(!m.fragments.is_empty());
         assert!(validate_detailed(&design, &board, &m).is_empty());
     }

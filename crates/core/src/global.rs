@@ -331,9 +331,18 @@ pub fn solve_global(
     overlap_aware: bool,
     no_goods: &[NoGood],
 ) -> Result<GlobalAssignment, MapError> {
-    solve_global_with_stats(design, board, pre, matrix, weights, backend, overlap_aware, no_goods)
-        .map(|(assignment, _)| assignment)
-        .map_err(|(e, _)| e)
+    solve_global_with_stats(
+        design,
+        board,
+        pre,
+        matrix,
+        weights,
+        backend,
+        overlap_aware,
+        no_goods,
+    )
+    .map(|(assignment, _)| assignment)
+    .map_err(|(e, _)| e)
 }
 
 /// [`solve_global`] plus the engine's [`SolveTelemetry`]. On failure the
@@ -534,7 +543,10 @@ mod tests {
         let ga = solve(&design, &board, false).unwrap();
         let onchip = ga.type_of.iter().filter(|t| t.0 == 0).count();
         let offchip = ga.type_of.iter().filter(|t| t.0 == 1).count();
-        assert!(onchip <= 4, "at most one 512x8 per dual-port 4096b instance... {onchip}");
+        assert!(
+            onchip <= 4,
+            "at most one 512x8 per dual-port 4096b instance... {onchip}"
+        );
         assert_eq!(onchip + offchip, 12);
         assert!(offchip >= 8);
     }
@@ -595,8 +607,10 @@ mod tests {
         // Ports still bound the overlap-aware case: 8 on-chip ports, each
         // 512x8 segment consumes 2 (a full instance), so max 4 live at
         // once but port constraint is global... it still limits to 4.
-        assert!(onchip_with >= onchip_without,
-                "overlap awareness can only help: {onchip_with} vs {onchip_without}");
+        assert!(
+            onchip_with >= onchip_without,
+            "overlap awareness can only help: {onchip_with} vs {onchip_without}"
+        );
     }
 
     #[test]
@@ -639,17 +653,25 @@ mod tests {
         let w = CostWeights::default();
         let backend = SolverBackend::default();
 
-        let (cold, cold_tel) = solve_global_with_stats(
-            &design, &board, &pre, &matrix, &w, &backend, false, &[],
-        )
-        .unwrap();
+        let (cold, cold_tel) =
+            solve_global_with_stats(&design, &board, &pre, &matrix, &w, &backend, false, &[])
+                .unwrap();
         assert_eq!(cold_tel.incumbent_seeded, 0);
 
         // Seed the second solve with the first's own assignment: it must
         // be accepted and the outcome must be identical.
         let hint: Vec<u32> = cold.type_of.iter().map(|t| t.0 as u32).collect();
         let (warm, warm_tel) = solve_global_hinted_with_stats(
-            &design, &board, &pre, &matrix, &w, &backend, false, &[], Some(&hint), None,
+            &design,
+            &board,
+            &pre,
+            &matrix,
+            &w,
+            &backend,
+            false,
+            &[],
+            Some(&hint),
+            None,
         )
         .unwrap();
         assert_eq!(warm_tel.incumbent_seeded, 1, "own optimum must seed");
@@ -658,7 +680,16 @@ mod tests {
 
         // A mis-sized hint is dropped without harming the solve.
         let (dropped, dropped_tel) = solve_global_hinted_with_stats(
-            &design, &board, &pre, &matrix, &w, &backend, false, &[], Some(&[0u32]), None,
+            &design,
+            &board,
+            &pre,
+            &matrix,
+            &w,
+            &backend,
+            false,
+            &[],
+            Some(&[0u32]),
+            None,
         )
         .unwrap();
         assert_eq!(dropped_tel.incumbent_seeded, 0);

@@ -44,7 +44,9 @@ pub mod multipu;
 pub mod pipeline;
 pub mod preprocess;
 
-pub use arbitration::{map_detailed_arbitrated, solve_global_arbitrated, ArbitratedAssignment, ArbitrationOptions};
+pub use arbitration::{
+    map_detailed_arbitrated, solve_global_arbitrated, ArbitratedAssignment, ArbitrationOptions,
+};
 pub use complete::{solve_complete, solve_complete_with_stats, ModelStats};
 pub use cost::{CostBreakdown, CostMatrix, CostWeights};
 pub use detailed::map_detailed;
@@ -52,7 +54,10 @@ pub use detailed_ilp::{map_detailed_ilp, DetailedIlpOptions};
 pub use global::{
     solve_global, solve_global_with_stats, MapError, NoGood, SolveTelemetry, SolverBackend,
 };
-pub use mapping::{validate_detailed, validate_detailed_policy, DetailedMapping, Fragment, GlobalAssignment, ValidationPolicy, Violation};
+pub use mapping::{
+    validate_detailed, validate_detailed_policy, DetailedMapping, Fragment, GlobalAssignment,
+    ValidationPolicy, Violation,
+};
 pub use multipu::{map_multi_pu, MultiPuBoard, PuId, PuOwnership};
 pub use pipeline::{DetailedStrategy, MapRun, MapStats, Mapper, MapperOptions, MappingOutcome};
 pub use preprocess::{consumed_ports, enumerate_port_allocations, round_pow2, PreTable};

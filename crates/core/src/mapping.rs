@@ -419,7 +419,12 @@ mod tests {
         f.ports = vec![7];
         let mapping = DetailedMapping { fragments: vec![f] };
         let v = validate_detailed(&design, &board, &mapping);
-        assert!(v.iter().filter(|x| matches!(x, Violation::BadReference(_))).count() >= 2);
+        assert!(
+            v.iter()
+                .filter(|x| matches!(x, Violation::BadReference(_)))
+                .count()
+                >= 2
+        );
     }
 
     #[test]

@@ -74,7 +74,11 @@ impl MultiPuBoard {
     /// The single-PU degenerate case: every distance is the bank's own
     /// `T_t` (the base model).
     pub fn single(board: Board) -> Self {
-        let row: Vec<u32> = board.bank_types().iter().map(|b| b.pins_traversed()).collect();
+        let row: Vec<u32> = board
+            .bank_types()
+            .iter()
+            .map(|b| b.pins_traversed())
+            .collect();
         MultiPuBoard {
             board,
             pins: vec![row],
@@ -211,13 +215,7 @@ mod tests {
         let design = b.build().unwrap();
         let mapper = Mapper::new(MapperOptions::new());
         let base = mapper.map(&design, &board).unwrap();
-        let multi = map_multi_pu(
-            &mapper,
-            &design,
-            &mpu,
-            &PuOwnership::round_robin(4, 1),
-        )
-        .unwrap();
+        let multi = map_multi_pu(&mapper, &design, &mpu, &PuOwnership::round_robin(4, 1)).unwrap();
         let w = CostWeights::default();
         assert!((base.cost.weighted(&w) - multi.cost.weighted(&w)).abs() < 1e-9);
     }
@@ -233,14 +231,7 @@ mod tests {
             b.segment(format!("s{i}"), 200, 8).unwrap();
         }
         let design = b.build().unwrap();
-        let owner = PuOwnership(vec![
-            PuId(0),
-            PuId(0),
-            PuId(0),
-            PuId(1),
-            PuId(1),
-            PuId(1),
-        ]);
+        let owner = PuOwnership(vec![PuId(0), PuId(0), PuId(0), PuId(1), PuId(1), PuId(1)]);
         let mapper = Mapper::new(MapperOptions::new());
         let out = map_multi_pu(&mapper, &design, &mpu, &owner).unwrap();
         for d in 0..6 {

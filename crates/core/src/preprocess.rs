@@ -188,8 +188,8 @@ impl PreTable {
             let mut frow = Vec::with_capacity(board.num_types());
             for (_, bank) in board.iter() {
                 let e = preprocess_pair(bank, seg.depth, seg.width);
-                let fits = e.cp() <= bank.total_ports()
-                    && e.area_bits() <= bank.total_capacity_bits();
+                let fits =
+                    e.cp() <= bank.total_ports() && e.area_bits() <= bank.total_capacity_bits();
                 row.push(e);
                 frow.push(fits);
             }

@@ -11,8 +11,7 @@ use std::collections::BTreeSet;
 /// The paper's input is a set of conflicting pairs; absence of lifetime
 /// information must be treated conservatively, so the default is
 /// [`ConflictSet::AllConflict`] (no storage sharing anywhere).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[derive(Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ConflictSet {
     /// Every pair of segments conflicts (the safe default).
     #[default]
@@ -21,7 +20,6 @@ pub enum ConflictSet {
     /// storage. Pairs are stored normalized with `a < b`.
     Pairs(BTreeSet<(SegmentId, SegmentId)>),
 }
-
 
 impl ConflictSet {
     /// Build from explicit pairs.

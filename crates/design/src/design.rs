@@ -25,7 +25,10 @@ pub enum DesignError {
     /// A design must contain at least one segment.
     Empty,
     /// Lifetime list length must match the segment count.
-    LifetimeArity { segments: usize, lifetimes: usize },
+    LifetimeArity {
+        segments: usize,
+        lifetimes: usize,
+    },
 }
 
 impl std::fmt::Display for DesignError {
@@ -33,10 +36,10 @@ impl std::fmt::Display for DesignError {
         match self {
             DesignError::Segment(e) => write!(f, "invalid segment: {e}"),
             DesignError::Empty => write!(f, "design has no segments"),
-            DesignError::LifetimeArity { segments, lifetimes } => write!(
-                f,
-                "{lifetimes} lifetimes supplied for {segments} segments"
-            ),
+            DesignError::LifetimeArity {
+                segments,
+                lifetimes,
+            } => write!(f, "{lifetimes} lifetimes supplied for {segments} segments"),
         }
     }
 }
@@ -267,10 +270,7 @@ mod tests {
     fn partial_lifetimes_rejected() {
         let (mut b, a, _) = two_segment_builder();
         b.lifetime(a, Lifetime::new(0, 5).unwrap());
-        assert!(matches!(
-            b.build(),
-            Err(DesignError::LifetimeArity { .. })
-        ));
+        assert!(matches!(b.build(), Err(DesignError::LifetimeArity { .. })));
     }
 
     #[test]

@@ -41,10 +41,7 @@ impl Lifetime {
 /// these sets are exactly the maximal cliques of the conflict graph, which
 /// is what capacity constraints need.
 pub fn live_sets_at_events(lifetimes: &[Lifetime]) -> Vec<Vec<usize>> {
-    let mut events: Vec<u32> = lifetimes
-        .iter()
-        .flat_map(|l| [l.start, l.end])
-        .collect();
+    let mut events: Vec<u32> = lifetimes.iter().flat_map(|l| [l.start, l.end]).collect();
     events.sort_unstable();
     events.dedup();
     let mut out: Vec<Vec<usize>> = Vec::new();

@@ -38,7 +38,9 @@
 use gmm_arch::{BankTypeId, Board};
 use gmm_core::cost::assignment_cost;
 use gmm_core::detailed::DetailedFailure;
-use gmm_core::{map_detailed, CostMatrix, CostWeights, DetailedMapping, GlobalAssignment, PreTable};
+use gmm_core::{
+    map_detailed, CostMatrix, CostWeights, DetailedMapping, GlobalAssignment, PreTable,
+};
 use gmm_design::{Design, SegmentId};
 use serde::{Deserialize, Serialize};
 
@@ -333,7 +335,10 @@ pub fn greedy_solve_with(
                 .filter(|&t| pre.is_feasible(d, t) && !is_forbidden(d, t))
                 .collect();
             cands.sort_by(|&a, &b| {
-                weighted(d, a).partial_cmp(&weighted(d, b)).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+                weighted(d, a)
+                    .partial_cmp(&weighted(d, b))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.0.cmp(&b.0))
             });
             cands
         })
@@ -343,7 +348,10 @@ pub fn greedy_solve_with(
     let mut budgets = Budgets::new(design, board, pre, options.overlap_aware);
     let mut assign: Vec<Option<BankTypeId>> = vec![None; num_d];
     for (placed, &d) in order.iter().enumerate() {
-        let slot = candidates[d.0].iter().copied().find(|&t| budgets.fits(d, t));
+        let slot = candidates[d.0]
+            .iter()
+            .copied()
+            .find(|&t| budgets.fits(d, t));
         match slot {
             Some(t) => {
                 budgets.place(d, t);
@@ -352,8 +360,10 @@ pub fn greedy_solve_with(
             None => return Err(HeurInfeasible::NoFit { segment: d, placed }),
         }
     }
-    let mut assign: Vec<BankTypeId> =
-        assign.into_iter().map(|t| t.expect("all segments placed above")).collect();
+    let mut assign: Vec<BankTypeId> = assign
+        .into_iter()
+        .map(|t| t.expect("all segments placed above"))
+        .collect();
 
     // Bounded local improvement: relocations, then swaps.
     let mut moves = 0u64;
@@ -364,10 +374,9 @@ pub fn greedy_solve_with(
             let cur = assign[d.0];
             let cur_cost = weighted(d, cur);
             budgets.remove(d, cur);
-            let better = candidates[d.0]
-                .iter()
-                .copied()
-                .find(|&t| t != cur && weighted(d, t) + IMPROVE_EPS < cur_cost && budgets.fits(d, t));
+            let better = candidates[d.0].iter().copied().find(|&t| {
+                t != cur && weighted(d, t) + IMPROVE_EPS < cur_cost && budgets.fits(d, t)
+            });
             match better {
                 Some(t) => {
                     budgets.place(d, t);
@@ -387,9 +396,8 @@ pub fn greedy_solve_with(
                     if ti == tj || is_forbidden(di, tj) || is_forbidden(dj, ti) {
                         continue;
                     }
-                    let delta = weighted(di, tj) + weighted(dj, ti)
-                        - weighted(di, ti)
-                        - weighted(dj, tj);
+                    let delta =
+                        weighted(di, tj) + weighted(dj, ti) - weighted(di, ti) - weighted(dj, tj);
                     if delta >= -IMPROVE_EPS {
                         continue;
                     }
@@ -425,7 +433,10 @@ pub fn greedy_solve_with(
     let cost = assignment_cost(matrix, &assign);
     let objective = cost.weighted(&options.weights);
     Ok(HeurSolution {
-        assignment: GlobalAssignment { type_of: assign, cost },
+        assignment: GlobalAssignment {
+            type_of: assign,
+            cost,
+        },
         objective,
         moves,
     })
@@ -487,7 +498,10 @@ pub fn greedy_map_with(
                     detailed_retries: retry,
                 });
             }
-            Err(DetailedFailure { bank_type, segments }) => {
+            Err(DetailedFailure {
+                bank_type,
+                segments,
+            }) => {
                 // Like the pipeline's no-good cut, but cheaper: ban the
                 // hardest member of the failing group from that type.
                 let worst = segments
@@ -499,7 +513,9 @@ pub fn greedy_map_with(
             }
         }
     }
-    Err(HeurInfeasible::DetailedFailed { retries: options.detailed_retries })
+    Err(HeurInfeasible::DetailedFailed {
+        retries: options.detailed_retries,
+    })
 }
 
 /// Greedy global + detailed mapping, building preprocess tables internally.
@@ -542,7 +558,13 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn check_budgets(design: &Design, board: &Board, pre: &PreTable, assign: &[BankTypeId], overlap_aware: bool) {
+    fn check_budgets(
+        design: &Design,
+        board: &Board,
+        pre: &PreTable,
+        assign: &[BankTypeId],
+        overlap_aware: bool,
+    ) {
         let mut b = Budgets::new(design, board, pre, overlap_aware);
         for (d, &t) in assign.iter().enumerate() {
             let d = SegmentId(d);
@@ -645,9 +667,19 @@ mod tests {
             let m = greedy_map(&inst.design, &inst.board, &opts)
                 .unwrap_or_else(|e| panic!("{}: {e}", inst.name));
             let pre = PreTable::build(&inst.design, &inst.board);
-            check_budgets(&inst.design, &inst.board, &pre, &m.assignment.type_of, false);
+            check_budgets(
+                &inst.design,
+                &inst.board,
+                &pre,
+                &m.assignment.type_of,
+                false,
+            );
             let violations = gmm_core::validate_detailed(&inst.design, &inst.board, &m.detailed);
-            assert!(violations.is_empty(), "{}: detailed invalid: {violations:?}", inst.name);
+            assert!(
+                violations.is_empty(),
+                "{}: detailed invalid: {violations:?}",
+                inst.name
+            );
         }
     }
 

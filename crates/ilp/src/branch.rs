@@ -118,7 +118,9 @@ pub struct MipResult {
 impl MipResult {
     /// Objective value recomputed against a model (sanity helper).
     pub fn best_solution_value(&self, model: &Model) -> Option<f64> {
-        self.best_solution.as_ref().map(|x| model.objective_value(x))
+        self.best_solution
+            .as_ref()
+            .map(|x| model.objective_value(x))
     }
 }
 
@@ -133,7 +135,11 @@ struct BoundDelta {
 
 impl BoundDelta {
     /// Materialize full bound vectors starting from the root bounds.
-    fn materialize(node: &Option<Arc<BoundDelta>>, lb0: &[f64], ub0: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    fn materialize(
+        node: &Option<Arc<BoundDelta>>,
+        lb0: &[f64],
+        ub0: &[f64],
+    ) -> (Vec<f64>, Vec<f64>) {
         let mut lb = lb0.to_vec();
         let mut ub = ub0.to_vec();
         let mut cur = node.clone();
@@ -208,7 +214,11 @@ impl PseudoCosts {
     }
 
     fn record(&mut self, var: usize, up: bool, degradation: f64, frac: f64) {
-        let unit = if frac > 1e-9 { degradation / frac } else { degradation };
+        let unit = if frac > 1e-9 {
+            degradation / frac
+        } else {
+            degradation
+        };
         if up {
             self.up_sum[var] += unit;
             self.up_cnt[var] += 1;
@@ -519,7 +529,11 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, IlpError
         }
 
         let (lb, ub) = BoundDelta::materialize(&node.delta, &lb0, &ub0);
-        let warm_basis = if opts.warm_start { node.warm.as_deref() } else { None };
+        let warm_basis = if opts.warm_start {
+            node.warm.as_deref()
+        } else {
+            None
+        };
         let sol = match solve_lp_warm(&core, &lb, &ub, &simplex_opts, warm_basis) {
             Ok(s) => s,
             Err(crate::error::IlpError::Deadline) => {
@@ -906,12 +920,8 @@ mod tests {
             }
         }
         for i in 0..2 {
-            m.add_constraint(
-                lin(&[(v[2 * i], 1.0), (v[2 * i + 1], 1.0)]),
-                Sense::Eq,
-                1.0,
-            )
-            .unwrap();
+            m.add_constraint(lin(&[(v[2 * i], 1.0), (v[2 * i + 1], 1.0)]), Sense::Eq, 1.0)
+                .unwrap();
         }
         for j in 0..2 {
             m.add_constraint(lin(&[(v[j], 1.0), (v[2 + j], 1.0)]), Sense::Eq, 1.0)
@@ -1017,7 +1027,9 @@ mod tests {
     /// the root LP is fractional and one node cannot close the tree.
     fn fractional_knapsack() -> Model {
         let mut m = Model::new();
-        let xs: Vec<_> = (0..12).map(|i| m.add_binary(1.0 + (i % 3) as f64)).collect();
+        let xs: Vec<_> = (0..12)
+            .map(|i| m.add_binary(1.0 + (i % 3) as f64))
+            .collect();
         m.set_objective_direction(Objective::Maximize);
         let mut e = crate::model::LinExpr::new();
         for (i, x) in xs.iter().enumerate() {
@@ -1054,12 +1066,20 @@ mod tests {
         let root = solve_lp_warm(&core, &core.lb, &core.ub, &sx, None).unwrap();
         let int_vars: Vec<usize> = (0..m.num_vars()).collect();
         let basis = root.snapshot.as_ref().and_then(|s| s.warm_start());
-        let d = dive(&core, &m, &int_vars, &core.lb, &core.ub, &root.x, basis, &sx, 1e-6, 40);
+        let d = dive(
+            &core, &m, &int_vars, &core.lb, &core.ub, &root.x, basis, &sx, 1e-6, 40,
+        );
         assert!(d.point.is_some());
         assert!(d.lps >= 1 && d.iterations > 0, "{d:?}");
-        assert_eq!(d.warm_lps, d.lps, "every dive LP, the first included, starts warm");
+        assert_eq!(
+            d.warm_lps, d.lps,
+            "every dive LP, the first included, starts warm"
+        );
         assert_eq!(dived.lp_iterations, undived.lp_iterations + d.iterations);
-        assert_eq!(dived.refactorizations, undived.refactorizations + d.refactorizations);
+        assert_eq!(
+            dived.refactorizations,
+            undived.refactorizations + d.refactorizations
+        );
     }
 
     #[test]
@@ -1082,7 +1102,10 @@ mod tests {
         assert_eq!(warm.best_objective, Some(3.0));
         assert_eq!(warm.best_solution, cold.best_solution);
         assert!(!warm.incumbent_seeded);
-        assert_eq!(warm.warm_started_nodes, 0, "the root is not a warm-started node");
+        assert_eq!(
+            warm.warm_started_nodes, 0,
+            "the root is not a warm-started node"
+        );
         assert!(
             warm.lp_iterations < cold.lp_iterations,
             "{} vs {}",
@@ -1116,7 +1139,10 @@ mod tests {
         };
         let r = solve_mip(&m, &opts).unwrap();
         assert_eq!(r.nodes_explored, 1);
-        assert_eq!(r.best_objective, None, "the start point is not the incumbent");
+        assert_eq!(
+            r.best_objective, None,
+            "the start point is not the incumbent"
+        );
         let full = solve_mip(
             &m,
             &MipOptions {
@@ -1214,7 +1240,10 @@ mod tests {
         assert_eq!(r.status, MipStatus::Optimal);
         assert!(r.stop_reason.is_none());
         let incumbents = obs.incumbents();
-        assert!(!incumbents.is_empty(), "optimal solve must report an incumbent");
+        assert!(
+            !incumbents.is_empty(),
+            "optimal solve must report an incumbent"
+        );
         // The last reported incumbent is the final objective.
         let (last_obj, _) = incumbents.last().unwrap();
         assert!((last_obj - r.best_objective.unwrap()).abs() < 1e-6);

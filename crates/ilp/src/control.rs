@@ -145,7 +145,10 @@ impl std::fmt::Debug for SolveControl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolveControl")
             .field("cancel", &self.cancel)
-            .field("observer", &self.observer.as_ref().map(|_| "dyn ProgressObserver"))
+            .field(
+                "observer",
+                &self.observer.as_ref().map(|_| "dyn ProgressObserver"),
+            )
             .finish()
     }
 }

@@ -47,7 +47,11 @@ pub fn to_mps(model: &Model) -> String {
         out.push_str("* NOTE: original objective was MAXIMIZE; coefficients negated.\n");
     }
     if model.obj_offset != 0.0 {
-        let _ = writeln!(out, "* NOTE: objective offset {} not representable.", model.obj_offset);
+        let _ = writeln!(
+            out,
+            "* NOTE: objective offset {} not representable.",
+            model.obj_offset
+        );
     }
     out.push_str("NAME          GMM\n");
 
@@ -154,7 +158,11 @@ pub fn to_lp(model: &Model) -> String {
         model.objective_direction(),
         crate::model::Objective::Maximize
     );
-    out.push_str(if maximize { "Maximize\n obj:" } else { "Minimize\n obj:" });
+    out.push_str(if maximize {
+        "Maximize\n obj:"
+    } else {
+        "Minimize\n obj:"
+    });
     let mut first = true;
     for i in 0..model.num_vars() {
         let v = VarId(i as u32);

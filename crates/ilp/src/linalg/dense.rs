@@ -36,7 +36,11 @@ impl DenseMatrix {
             assert_eq!(row.len(), c, "ragged rows");
             data.extend_from_slice(row);
         }
-        DenseMatrix { rows: r, cols: c, data }
+        DenseMatrix {
+            rows: r,
+            cols: c,
+            data,
+        }
     }
 
     #[inline]

@@ -37,7 +37,11 @@ impl Eta {
             .filter(|&(i, &wi)| i != r && wi != 0.0)
             .map(|(i, &wi)| (i as u32, wi))
             .collect();
-        Eta { r: r as u32, pivot_inv, entries }
+        Eta {
+            r: r as u32,
+            pivot_inv,
+            entries,
+        }
     }
 
     /// `x ← E x` (FTRAN direction).

@@ -337,8 +337,7 @@ impl BasisFactorization for SparseLu {
                 if a < threshold {
                     continue;
                 }
-                let better = row_nnz[i] < best_count
-                    || (row_nnz[i] == best_count && a > best_abs);
+                let better = row_nnz[i] < best_count || (row_nnz[i] == best_count && a > best_abs);
                 if better {
                     best_count = row_nnz[i];
                     best_abs = a;
@@ -587,7 +586,12 @@ mod tests {
         f.ftran(&mut x);
         let back = dense_mul(cols, &x, m);
         for i in 0..m {
-            assert!((back[i] - b[i]).abs() < 1e-8, "ftran row {i}: {} vs {}", back[i], b[i]);
+            assert!(
+                (back[i] - b[i]).abs() < 1e-8,
+                "ftran row {i}: {} vs {}",
+                back[i],
+                b[i]
+            );
         }
         // BTRAN: Bᵀ y = c  ⇒  Bᵀ·y must reproduce c.
         let c: Vec<f64> = (0..m).map(|i| (i as f64 * 1.3).cos() * 2.0).collect();
@@ -595,7 +599,12 @@ mod tests {
         f.btran(&mut y);
         let back = dense_mul_t(cols, &y);
         for i in 0..m {
-            assert!((back[i] - c[i]).abs() < 1e-8, "btran row {i}: {} vs {}", back[i], c[i]);
+            assert!(
+                (back[i] - c[i]).abs() < 1e-8,
+                "btran row {i}: {} vs {}",
+                back[i],
+                c[i]
+            );
         }
     }
 
@@ -605,7 +614,8 @@ mod tests {
             for m in [1, 2, 5, 17, 40] {
                 let cols = test_cols(m, seed);
                 let mut lu = SparseLu::new();
-                lu.refactor(m, &cols, 1e-10).expect("diag-dominant is nonsingular");
+                lu.refactor(m, &cols, 1e-10)
+                    .expect("diag-dominant is nonsingular");
                 check_solves(&mut lu, &cols, m);
             }
         }
@@ -638,8 +648,14 @@ mod tests {
     fn singular_basis_detected() {
         // Column 1 is a multiple of column 0.
         let cols = vec![vec![(0, 1.0), (1, 2.0)], vec![(0, 2.0), (1, 4.0)]];
-        assert_eq!(SparseLu::new().refactor(2, &cols, 1e-10), Err(SingularBasis));
-        assert_eq!(DenseInverse::new().refactor(2, &cols, 1e-10), Err(SingularBasis));
+        assert_eq!(
+            SparseLu::new().refactor(2, &cols, 1e-10),
+            Err(SingularBasis)
+        );
+        assert_eq!(
+            DenseInverse::new().refactor(2, &cols, 1e-10),
+            Err(SingularBasis)
+        );
     }
 
     #[test]

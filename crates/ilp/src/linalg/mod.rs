@@ -21,8 +21,6 @@ mod vector;
 
 pub use dense::DenseMatrix;
 pub use eta::{Eta, EtaFile};
-pub use lu::{
-    BasisBackend, BasisFactorization, DenseInverse, Factorizer, SingularBasis, SparseLu,
-};
+pub use lu::{BasisBackend, BasisFactorization, DenseInverse, Factorizer, SingularBasis, SparseLu};
 pub use sparse::{CscMatrix, Triplet};
 pub use vector::{axpy, dot, infinity_norm, scale, sparse_dot};

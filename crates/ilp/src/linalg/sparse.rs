@@ -163,9 +163,21 @@ mod tests {
             2,
             3,
             vec![
-                Triplet { row: 0, col: 0, val: 1.0 },
-                Triplet { row: 1, col: 1, val: 3.0 },
-                Triplet { row: 0, col: 2, val: 2.0 },
+                Triplet {
+                    row: 0,
+                    col: 0,
+                    val: 1.0,
+                },
+                Triplet {
+                    row: 1,
+                    col: 1,
+                    val: 3.0,
+                },
+                Triplet {
+                    row: 0,
+                    col: 2,
+                    val: 2.0,
+                },
             ],
         )
     }
@@ -186,8 +198,16 @@ mod tests {
             2,
             2,
             vec![
-                Triplet { row: 0, col: 0, val: 1.0 },
-                Triplet { row: 0, col: 0, val: 2.5 },
+                Triplet {
+                    row: 0,
+                    col: 0,
+                    val: 1.0,
+                },
+                Triplet {
+                    row: 0,
+                    col: 0,
+                    val: 2.5,
+                },
             ],
         );
         assert_eq!(m.get(0, 0), 3.5);
@@ -197,10 +217,7 @@ mod tests {
     #[test]
     fn from_columns_matches_triplets() {
         let a = sample();
-        let b = CscMatrix::from_columns(
-            2,
-            &[vec![(0, 1.0)], vec![(1, 3.0)], vec![(0, 2.0)]],
-        );
+        let b = CscMatrix::from_columns(2, &[vec![(0, 1.0)], vec![(1, 3.0)], vec![(0, 2.0)]]);
         assert_eq!(a, b);
     }
 
@@ -225,7 +242,11 @@ mod tests {
         let m = CscMatrix::from_triplets(
             2,
             4,
-            vec![Triplet { row: 1, col: 3, val: 9.0 }],
+            vec![Triplet {
+                row: 1,
+                col: 3,
+                val: 9.0,
+            }],
         );
         assert_eq!(m.column(0).0.len(), 0);
         assert_eq!(m.column(1).0.len(), 0);

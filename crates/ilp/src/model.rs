@@ -87,10 +87,7 @@ impl LinExpr {
 
     /// Evaluate against a point.
     pub fn value(&self, x: &[f64]) -> f64 {
-        self.terms
-            .iter()
-            .map(|&(v, c)| c * x[v.index()])
-            .sum()
+        self.terms.iter().map(|&(v, c)| c * x[v.index()]).sum()
     }
 
     /// Merge duplicate variables, dropping exact zeros, sorted by column.
@@ -429,7 +426,9 @@ mod tests {
         let foreign = other.add_binary(0.0);
         let _ = other.add_binary(0.0);
         let bad = VarId(5);
-        assert!(m.add_constraint(lin(&[(bad, 1.0)]), Sense::Le, 1.0).is_err());
+        assert!(m
+            .add_constraint(lin(&[(bad, 1.0)]), Sense::Le, 1.0)
+            .is_err());
         // Index 0 happens to exist in `m`, so a foreign id of 0 is accepted;
         // ids are plain indices by design.
         assert!(m

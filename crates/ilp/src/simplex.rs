@@ -52,9 +52,7 @@
 //! starting is a pure optimization, never a correctness risk.
 
 use crate::error::{IlpError, LpStatus};
-use crate::linalg::{
-    sparse_dot, BasisBackend, BasisFactorization, Factorizer,
-};
+use crate::linalg::{sparse_dot, BasisBackend, BasisFactorization, Factorizer};
 use crate::model::Sense;
 use crate::standard::LpCore;
 
@@ -98,8 +96,11 @@ pub enum PricingRule {
 
 impl PricingRule {
     /// Every rule, in ablation/reporting order.
-    pub const ALL: [PricingRule; 3] =
-        [PricingRule::Dantzig, PricingRule::Partial, PricingRule::Devex];
+    pub const ALL: [PricingRule; 3] = [
+        PricingRule::Dantzig,
+        PricingRule::Partial,
+        PricingRule::Devex,
+    ];
 
     /// Stable lowercase name (CLI flag values, bench JSON keys).
     pub fn as_str(self) -> &'static str {
@@ -631,7 +632,9 @@ impl<'a> Solver<'a> {
     /// FTRAN image.
     fn absorb_pivot(&mut self, r: usize, leaving: usize) -> Result<(), IlpError> {
         if self.factor.update(r, &self.w, self.opts.pivot_tol).is_err() {
-            return Err(IlpError::Numerical("vanishing pivot in basis update".into()));
+            return Err(IlpError::Numerical(
+                "vanishing pivot in basis update".into(),
+            ));
         }
         if self.opts.pricing == PricingRule::Devex {
             self.devex_update(r, leaving);
@@ -853,7 +856,11 @@ impl<'a> Solver<'a> {
                 return Ok(false);
             }
             let leaving = self.basis[r] as usize;
-            let target = if below { self.lb[leaving] } else { self.ub[leaving] };
+            let target = if below {
+                self.lb[leaving]
+            } else {
+                self.ub[leaving]
+            };
             let t = ((self.x[leaving] - target) / (dir * wr)).max(0.0);
 
             // If the step would push the entering variable past its own
@@ -865,8 +872,16 @@ impl<'a> Solver<'a> {
                     let bj = self.basis[i] as usize;
                     self.x[bj] -= dir * span * self.w[i];
                 }
-                self.status[entering] = if dir > 0.0 { VarStatus::Upper } else { VarStatus::Lower };
-                self.x[entering] = if dir > 0.0 { self.ub[entering] } else { self.lb[entering] };
+                self.status[entering] = if dir > 0.0 {
+                    VarStatus::Upper
+                } else {
+                    VarStatus::Lower
+                };
+                self.x[entering] = if dir > 0.0 {
+                    self.ub[entering]
+                } else {
+                    self.lb[entering]
+                };
                 self.iterations += 1;
                 continue;
             }
@@ -877,7 +892,11 @@ impl<'a> Solver<'a> {
             }
             self.x[entering] += dir * t;
             self.x[leaving] = target; // snap exactly onto the bound
-            self.status[leaving] = if below { VarStatus::Lower } else { VarStatus::Upper };
+            self.status[leaving] = if below {
+                VarStatus::Lower
+            } else {
+                VarStatus::Upper
+            };
             self.status[entering] = VarStatus::Basic(r as u32);
             self.basis[r] = entering as u32;
             self.iterations += 1;
@@ -1045,7 +1064,11 @@ impl<'a> Solver<'a> {
             if bland {
                 return Some((j, dir));
             }
-            let score = if devex { d * d / self.devex_w[j] } else { d.abs() };
+            let score = if devex {
+                d * d / self.devex_w[j]
+            } else {
+                d.abs()
+            };
             if best.is_none() || score > best_score {
                 best_score = score;
                 best = Some((j, dir));
@@ -1163,8 +1186,7 @@ impl<'a> Solver<'a> {
                         || (limit <= t_min + 1e-12
                             && leave_row.is_none_or(|r| bj < self.basis[r] as usize))
                 } else {
-                    limit < t_min - 1e-12
-                        || (limit <= t_min + 1e-12 && wi.abs() > best_pivot)
+                    limit < t_min - 1e-12 || (limit <= t_min + 1e-12 && wi.abs() > best_pivot)
                 };
                 if better {
                     t_min = limit.min(t_min);
@@ -1176,9 +1198,7 @@ impl<'a> Solver<'a> {
 
             if t_min.is_infinite() {
                 return match phase {
-                    Phase::One => Err(IlpError::Numerical(
-                        "unbounded phase-1 subproblem".into(),
-                    )),
+                    Phase::One => Err(IlpError::Numerical("unbounded phase-1 subproblem".into())),
                     Phase::Two => Ok(LpStatus::Unbounded),
                 };
             }
@@ -1275,7 +1295,10 @@ mod tests {
 
     fn solve_with(model: &Model, basis: BasisBackend) -> LpSolution {
         let core = LpCore::from_model(model);
-        let opts = SimplexOptions { basis, ..SimplexOptions::default() };
+        let opts = SimplexOptions {
+            basis,
+            ..SimplexOptions::default()
+        };
         solve_lp_default(&core, &opts).unwrap()
     }
 
@@ -1409,7 +1432,8 @@ mod tests {
     fn bound_override_changes_solution() {
         let mut m = Model::new();
         let x = m.add_continuous(0.0, 10.0, -1.0).unwrap();
-        m.add_constraint(lin(&[(x, 1.0)]), Sense::Le, 100.0).unwrap();
+        m.add_constraint(lin(&[(x, 1.0)]), Sense::Le, 100.0)
+            .unwrap();
         let core = LpCore::from_model(&m);
         let s = solve_lp(&core, &[0.0], &[3.0], &SimplexOptions::default()).unwrap();
         assert!((s.x[0] - 3.0).abs() < 1e-9);
@@ -1498,8 +1522,7 @@ mod tests {
         let root = solve_lp_default(&core, &opts).unwrap();
         let warm = root.snapshot.as_ref().unwrap().warm_start().unwrap();
         // Child bounds make the row unsatisfiable.
-        let hot =
-            solve_lp_warm(&core, &[0.0, 0.0], &[2.0, 2.0], &opts, Some(&warm)).unwrap();
+        let hot = solve_lp_warm(&core, &[0.0, 0.0], &[2.0, 2.0], &opts, Some(&warm)).unwrap();
         assert_eq!(hot.status, LpStatus::Infeasible);
     }
 
@@ -1519,8 +1542,14 @@ mod tests {
             (BasisBackend::Dense, BasisBackend::SparseLu),
             (BasisBackend::SparseLu, BasisBackend::Dense),
         ] {
-            let o1 = SimplexOptions { basis: first, ..SimplexOptions::default() };
-            let o2 = SimplexOptions { basis: second, ..SimplexOptions::default() };
+            let o1 = SimplexOptions {
+                basis: first,
+                ..SimplexOptions::default()
+            };
+            let o2 = SimplexOptions {
+                basis: second,
+                ..SimplexOptions::default()
+            };
             let root = solve_lp_default(&core, &o1).unwrap();
             let warm = root.snapshot.as_ref().unwrap().warm_start().unwrap();
             let mut ub = core.ub.clone();
@@ -1542,13 +1571,16 @@ mod tests {
         let x = m.add_continuous(0.0, 10.0, 1.0).unwrap();
         m.add_constraint(lin(&[(x, 1.0)]), Sense::Eq, 5.0).unwrap();
         let core = LpCore::from_model(&m);
-        let mut s =
-            Solver::new(&core, &core.lb, &core.ub, SimplexOptions::default()).unwrap();
+        let mut s = Solver::new(&core, &core.lb, &core.ub, SimplexOptions::default()).unwrap();
         s.initialize().unwrap();
         let slack = core.num_structural();
         assert_eq!(s.lb[slack], s.ub[slack], "equality slack must be fixed");
         assert_eq!(s.status[slack], VarStatus::Lower);
-        assert_eq!(s.artificials.len(), 1, "unabsorbed residual needs an artificial");
+        assert_eq!(
+            s.artificials.len(),
+            1,
+            "unabsorbed residual needs an artificial"
+        );
         // The full solve still lands exactly on the equality.
         let sol = solve(&m);
         assert_eq!(sol.status, LpStatus::Optimal);
@@ -1557,7 +1589,10 @@ mod tests {
 
     fn solve_pricing(m: &Model, pricing: PricingRule) -> LpSolution {
         let core = LpCore::from_model(m);
-        let opts = SimplexOptions { pricing, ..SimplexOptions::default() };
+        let opts = SimplexOptions {
+            pricing,
+            ..SimplexOptions::default()
+        };
         solve_lp_default(&core, &opts).unwrap()
     }
 
@@ -1639,7 +1674,10 @@ mod tests {
             s.refactorizations
         );
         if t.iterations > 0 {
-            assert!(t.eta_nnz_peak > 0, "absorbed pivots must leave a fill-in peak");
+            assert!(
+                t.eta_nnz_peak > 0,
+                "absorbed pivots must leave a fill-in peak"
+            );
         }
     }
 }

@@ -49,9 +49,13 @@ fn random_lp(seed: u64, n: usize, m: usize) -> Model {
         // Slack the row so the center satisfies it.
         let slack = (next() % 5) as f64;
         if next() % 2 == 0 {
-            model.add_constraint(expr, Sense::Le, lhs_at_center + slack).unwrap();
+            model
+                .add_constraint(expr, Sense::Le, lhs_at_center + slack)
+                .unwrap();
         } else {
-            model.add_constraint(expr, Sense::Ge, lhs_at_center - slack).unwrap();
+            model
+                .add_constraint(expr, Sense::Ge, lhs_at_center - slack)
+                .unwrap();
         }
     }
     model
@@ -200,5 +204,9 @@ fn transportation_regression() {
     let core = LpCore::from_model(&m);
     let sol = solve_lp_default(&core, &SimplexOptions::default()).unwrap();
     assert_eq!(sol.status, LpStatus::Optimal);
-    assert!((sol.objective - 150.0).abs() < 1e-6, "got {}", sol.objective);
+    assert!(
+        (sol.objective - 150.0).abs() < 1e-6,
+        "got {}",
+        sol.objective
+    );
 }

@@ -318,7 +318,11 @@ impl SolutionCache {
         if self.capacity > 0 && live > self.capacity {
             // Only evict locally when the victim would not be the entry
             // we just inserted.
-            let victim = if shard.map.len() > 1 { shard.pop_lru() } else { None };
+            let victim = if shard.map.len() > 1 {
+                shard.pop_lru()
+            } else {
+                None
+            };
             drop(shard);
             match victim {
                 Some(evicted) => self.note_eviction(evicted),
@@ -410,7 +414,10 @@ mod tests {
         let first = cache.insert(key(1), entry("first"));
         let second = cache.insert(key(1), entry("second"));
         assert_eq!(first.solution_json, "first");
-        assert_eq!(second.solution_json, "first", "racing insert keeps original bytes");
+        assert_eq!(
+            second.solution_json, "first",
+            "racing insert keeps original bytes"
+        );
         assert_eq!(cache.len(), 1);
         assert_eq!(
             cache.stats().entries,
@@ -433,7 +440,11 @@ mod tests {
         for n in 0..64 {
             cache.insert(key(n), entry("x"));
         }
-        let populated = cache.shards.iter().filter(|s| !s.lock().map.is_empty()).count();
+        let populated = cache
+            .shards
+            .iter()
+            .filter(|s| !s.lock().map.is_empty())
+            .count();
         assert_eq!(populated, 8, "sequential keys must not pile into one shard");
     }
 
@@ -468,9 +479,18 @@ mod tests {
             // Touch a so b becomes the shard's LRU victim.
             assert!(cache.get(a).is_some());
             cache.insert(c, entry("c"));
-            assert!(cache.peek(a).is_some(), "{shards} shards: recently used entry survived");
-            assert!(cache.peek(b).is_none(), "{shards} shards: LRU entry was evicted");
-            assert!(cache.peek(c).is_some(), "{shards} shards: new entry is live");
+            assert!(
+                cache.peek(a).is_some(),
+                "{shards} shards: recently used entry survived"
+            );
+            assert!(
+                cache.peek(b).is_none(),
+                "{shards} shards: LRU entry was evicted"
+            );
+            assert!(
+                cache.peek(c).is_some(),
+                "{shards} shards: new entry is live"
+            );
         }
     }
 
@@ -520,8 +540,14 @@ mod tests {
             // Racing duplicate insert of a must refresh it, making b the victim.
             cache.insert(a, entry("a-racer"));
             cache.insert(c, entry("c"));
-            assert!(cache.peek(a).is_some(), "{shards} shards: re-inserted entry survived");
-            assert!(cache.peek(b).is_none(), "{shards} shards: LRU entry was evicted");
+            assert!(
+                cache.peek(a).is_some(),
+                "{shards} shards: re-inserted entry survived"
+            );
+            assert!(
+                cache.peek(b).is_none(),
+                "{shards} shards: LRU entry was evicted"
+            );
         }
     }
 

@@ -43,11 +43,16 @@ pub enum ClientError {
     /// The server answered `{"ok": false, …}`.
     Remote(String),
     /// [`MapClient::wait`] ran out of time.
-    Timeout { job: u64, last_state: JobState },
+    Timeout {
+        job: u64,
+        last_state: JobState,
+    },
     /// A session-level wait ([`Session::wait_all`] /
     /// [`Session::for_each_event`]) hit its deadline with jobs still
     /// pending.
-    Expired { pending: usize },
+    Expired {
+        pending: usize,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -57,10 +62,17 @@ impl std::fmt::Display for ClientError {
             ClientError::Protocol(m) => write!(f, "protocol: {m}"),
             ClientError::Remote(m) => write!(f, "server error: {m}"),
             ClientError::Timeout { job, last_state } => {
-                write!(f, "timed out waiting for job {job} (last state {})", last_state.as_str())
+                write!(
+                    f,
+                    "timed out waiting for job {job} (last state {})",
+                    last_state.as_str()
+                )
             }
             ClientError::Expired { pending } => {
-                write!(f, "session wait timed out with {pending} job(s) not yet terminal")
+                write!(
+                    f,
+                    "session wait timed out with {pending} job(s) not yet terminal"
+                )
             }
         }
     }
@@ -112,8 +124,8 @@ impl MapClient {
 
     /// Send one request line and read one response line.
     pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let mut text = serde_json::to_string(request)
-            .expect("in-tree serde_json cannot fail to render");
+        let mut text =
+            serde_json::to_string(request).expect("in-tree serde_json cannot fail to render");
         text.push('\n');
         self.writer.write_all(text.as_bytes())?;
         self.writer.flush()?;
@@ -365,9 +377,7 @@ impl FrameReader {
             let read = self.stream.read(&mut self.buf[filled..]);
             self.buf.truncate(filled + read.as_ref().map_or(0, |&n| n));
             match read {
-                Ok(0) => {
-                    return Err(ClientError::Protocol("server closed the connection".into()))
-                }
+                Ok(0) => return Err(ClientError::Protocol("server closed the connection".into())),
                 Ok(_) => {}
                 // The armed timeout ran out; `deadline` decides above
                 // whether that was the real one.
@@ -442,8 +452,8 @@ impl RemoteTransport {
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        let mut text = serde_json::to_string(request)
-            .expect("in-tree serde_json cannot fail to render");
+        let mut text =
+            serde_json::to_string(request).expect("in-tree serde_json cannot fail to render");
         text.push('\n');
         self.writer.write_all(text.as_bytes())?;
         self.writer.flush()?;
@@ -531,8 +541,8 @@ enum ServerFrame {
 
 /// Split the two server frame families on their tag field.
 fn classify(line: &str) -> Result<ServerFrame, ClientError> {
-    let value: Value = serde_json::from_str(line)
-        .map_err(|e| ClientError::Protocol(format!("bad frame: {e}")))?;
+    let value: Value =
+        serde_json::from_str(line).map_err(|e| ClientError::Protocol(format!("bad frame: {e}")))?;
     if value.get("event").is_some() {
         return serde_json::from_value::<JobEvent>(value)
             .map(ServerFrame::Event)
@@ -770,7 +780,9 @@ impl Session {
                             if attempts >= OVERLOAD_RETRY_LIMIT {
                                 return Err(ClientError::Remote(message));
                             }
-                            std::thread::sleep(Duration::from_millis(retry_after_ms.clamp(1, 1000)));
+                            std::thread::sleep(Duration::from_millis(
+                                retry_after_ms.clamp(1, 1000),
+                            ));
                         }
                         Response::BatchSubmitted { jobs } => break jobs,
                         other => return Err(unexpected("submit_batch", &other)),
@@ -856,9 +868,9 @@ impl Session {
         let want_progress = self.want_progress;
         let watching = match &mut self.transport {
             Transport::Local(t) => {
-                let (watching, _unknown) =
-                    t.outbox
-                        .watch(jobs, want_progress, |id| t.queue.state_snapshot(id));
+                let (watching, _unknown) = t
+                    .outbox
+                    .watch(jobs, want_progress, |id| t.queue.state_snapshot(id));
                 watching
             }
             Transport::Remote(t) if t.proto >= 2 => {
@@ -953,9 +965,9 @@ impl Session {
                 if want_stats {
                     t.outbox.set_stats(true);
                 }
-                let (watching, _unknown) =
-                    t.outbox
-                        .watch(&jobs, want_progress, |id| t.queue.state_snapshot(id));
+                let (watching, _unknown) = t
+                    .outbox
+                    .watch(&jobs, want_progress, |id| t.queue.state_snapshot(id));
                 watching
             }
             Proto::V2 => {
@@ -1029,9 +1041,7 @@ impl Session {
                         progress: self.want_progress,
                         stats: self.want_stats,
                     })? {
-                        Response::Error { message } => {
-                            return Err(ClientError::Remote(message))
-                        }
+                        Response::Error { message } => return Err(ClientError::Remote(message)),
                         Response::Attached { .. } => {}
                         other => return Err(unexpected("attach", &other)),
                     }
@@ -1051,7 +1061,9 @@ impl Session {
             }
             let now = Instant::now();
             if now >= deadline {
-                return Err(ClientError::Expired { pending: jobs.len() });
+                return Err(ClientError::Expired {
+                    pending: jobs.len(),
+                });
             }
             std::thread::sleep(backoff.min(deadline - now));
             backoff = (backoff * 2).min(Duration::from_millis(500));
@@ -1244,13 +1256,10 @@ impl Session {
                     .queue
                     .outcome(job)
                     .ok_or_else(|| ClientError::Remote(format!("unknown job {job}")))?;
-                let solution = out
-                    .solution_json
-                    .as_ref()
-                    .map(|entry| {
-                        serde_json::from_str::<Value>(&entry.solution_json)
-                            .expect("cache stores canonical JSON")
-                    });
+                let solution = out.solution_json.as_ref().map(|entry| {
+                    serde_json::from_str::<Value>(&entry.solution_json)
+                        .expect("cache stores canonical JSON")
+                });
                 Ok(RemoteOutcome {
                     job,
                     state: out.state,
@@ -1280,7 +1289,9 @@ impl Session {
         loop {
             let before = answers.len();
             let Transport::Remote(t) = &mut self.transport else {
-                return Err(ClientError::Protocol("remote results on a local session".into()));
+                return Err(ClientError::Protocol(
+                    "remote results on a local session".into(),
+                ));
             };
             match t.fetch_results(&jobs[before..], &mut answers) {
                 Ok(()) => return Ok(answers),

@@ -373,8 +373,9 @@ mod tests {
     #[test]
     fn watch_snapshots_then_streams_in_rank_order() {
         let outbox = Outbox::new(16, Arc::new(AtomicU64::new(0)));
-        let (watching, unknown) =
-            outbox.watch(&[1, 99], true, |id| (id == 1).then_some((JobState::Queued, None)));
+        let (watching, unknown) = outbox.watch(&[1, 99], true, |id| {
+            (id == 1).then_some((JobState::Queued, None))
+        });
         assert_eq!(watching, vec![1]);
         assert_eq!(unknown, vec![99]);
 
@@ -449,7 +450,11 @@ mod tests {
         // Retired: later frames for the job are filtered outright…
         outbox.push_event(&progress_ev(1, 64));
         outbox.push_event(&state_ev(1, JobState::Done));
-        assert_eq!(drain(&outbox).len(), 2, "snapshot + one terminal frame only");
+        assert_eq!(
+            drain(&outbox).len(),
+            2,
+            "snapshot + one terminal frame only"
+        );
         // …and a re-watch yields a fresh terminal snapshot without
         // re-occupying a watch entry (the map stays bounded by live jobs).
         outbox.watch(&[1], true, |_| Some((JobState::Done, None)));

@@ -358,8 +358,8 @@ impl PersistStore {
             keys.sort_unstable();
             for key in keys {
                 let slot = index[&key];
-                let payload = &bytes
-                    [slot.payload_at as usize..(slot.payload_at + slot.payload_len as u64) as usize];
+                let payload = &bytes[slot.payload_at as usize
+                    ..(slot.payload_at + slot.payload_len as u64) as usize];
                 let rec = encode_record(KIND_SOLUTION, key, payload);
                 compacted.insert(
                     key,
@@ -382,7 +382,11 @@ impl PersistStore {
             index = compacted;
         }
 
-        let file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&path)?;
         let end = file.metadata()?.len();
         Ok(PersistStore {
             path,
@@ -465,7 +469,11 @@ impl PersistStore {
         if inner.index.contains_key(&key.0) {
             return;
         }
-        let rec = encode_record(KIND_SOLUTION, key.0, &solution_payload(objective, solution_json));
+        let rec = encode_record(
+            KIND_SOLUTION,
+            key.0,
+            &solution_payload(objective, solution_json),
+        );
         if self.append(&mut inner, &rec) {
             let payload_at = inner.end - rec.len() as u64 + 8 + 17;
             inner.index.insert(
@@ -628,13 +636,28 @@ mod tests {
         let dir = temp_dir("hintlast");
         {
             let store = PersistStore::open(&dir).unwrap();
-            store.put_hint(key(5), &WarmHint { objective: 9.0, type_of: vec![1] });
-            store.put_hint(key(5), &WarmHint { objective: 4.0, type_of: vec![0] });
+            store.put_hint(
+                key(5),
+                &WarmHint {
+                    objective: 9.0,
+                    type_of: vec![1],
+                },
+            );
+            store.put_hint(
+                key(5),
+                &WarmHint {
+                    objective: 4.0,
+                    type_of: vec![0],
+                },
+            );
         }
         let store = PersistStore::open(&dir).unwrap();
         assert_eq!(
             store.hint(key(5)),
-            Some(WarmHint { objective: 4.0, type_of: vec![0] })
+            Some(WarmHint {
+                objective: 4.0,
+                type_of: vec![0]
+            })
         );
         // The superseded record was compacted away: reopening again finds
         // a clean log (no further compaction, same answer).
@@ -644,7 +667,10 @@ mod tests {
         assert_eq!(std::fs::metadata(store.log_path()).unwrap().len(), len);
         assert_eq!(
             store.hint(key(5)),
-            Some(WarmHint { objective: 4.0, type_of: vec![0] })
+            Some(WarmHint {
+                objective: 4.0,
+                type_of: vec![0]
+            })
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -662,9 +688,16 @@ mod tests {
         // Cut into the middle of the second record.
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         let store = PersistStore::open(&dir).unwrap();
-        assert_eq!(store.get(key(1)), Some((1.0, "{\"keep\":true}".to_string())));
+        assert_eq!(
+            store.get(key(1)),
+            Some((1.0, "{\"keep\":true}".to_string()))
+        );
         assert!(store.get(key(2)).is_none());
-        assert_eq!(store.stats().disk_corrupt, 0, "a torn tail is not corruption");
+        assert_eq!(
+            store.stats().disk_corrupt,
+            0,
+            "a torn tail is not corruption"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -685,7 +718,10 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let store = PersistStore::open(&dir).unwrap();
         assert_eq!(store.get(key(1)), Some((1.0, "{\"first\":1}".to_string())));
-        assert!(store.get(key(2)).is_none(), "damaged record must not be served");
+        assert!(
+            store.get(key(2)).is_none(),
+            "damaged record must not be served"
+        );
         assert_eq!(store.get(key(3)), Some((3.0, "{\"third\":3}".to_string())));
         assert_eq!(store.stats().disk_corrupt, 1);
         let _ = std::fs::remove_dir_all(&dir);

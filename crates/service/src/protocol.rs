@@ -647,7 +647,14 @@ pub fn render_response(response: &Response) -> String {
             error,
         } => {
             let tree = solution.as_ref().map(render);
-            result_frame(*job, *state, *cached, *objective, tree.as_deref(), error.as_deref())
+            result_frame(
+                *job,
+                *state,
+                *cached,
+                *objective,
+                tree.as_deref(),
+                error.as_deref(),
+            )
         }
         Response::Peeked {
             hit,
@@ -724,7 +731,13 @@ fn submit_body_from_value(v: &Value) -> Result<SubmitSpec, DeError> {
 impl Serialize for SubmitSpec {
     fn to_value(&self) -> Value {
         let mut pairs = Vec::new();
-        submit_body(&mut pairs, &self.design, &self.board, &self.config, self.deadline_ms);
+        submit_body(
+            &mut pairs,
+            &self.design,
+            &self.board,
+            &self.config,
+            self.deadline_ms,
+        );
         obj(pairs)
     }
 }
@@ -754,9 +767,10 @@ impl Deserialize for AttachSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let termination = match opt_field::<String>(v, "termination")? {
             None => None,
-            Some(token) => Some(Termination::from_name(&token).ok_or_else(|| {
-                DeError::new(format!("unknown termination token `{token}`"))
-            })?),
+            Some(token) => Some(
+                Termination::from_name(&token)
+                    .ok_or_else(|| DeError::new(format!("unknown termination token `{token}`")))?,
+            ),
         };
         Ok(AttachSnapshot {
             job: field(v, "job")?,
@@ -951,12 +965,7 @@ impl Serialize for Response {
                 ("proto", Value::UInt(*proto)),
                 (
                     "capabilities",
-                    Value::Array(
-                        capabilities
-                            .iter()
-                            .map(|c| Value::Str(c.clone()))
-                            .collect(),
-                    ),
+                    Value::Array(capabilities.iter().map(|c| Value::Str(c.clone())).collect()),
                 ),
             ]),
             Response::BatchSubmitted { jobs } => obj(vec![
@@ -1315,7 +1324,8 @@ mod tests {
         let (design, board) = tiny_instance();
         let design_json = serde_json::to_string(&design).unwrap();
         let board_json = serde_json::to_string(&board).unwrap();
-        let line = format!("{{\"verb\":\"submit\",\"design\":{design_json},\"board\":{board_json}}}");
+        let line =
+            format!("{{\"verb\":\"submit\",\"design\":{design_json},\"board\":{board_json}}}");
         match serde_json::from_str::<Request>(&line).unwrap() {
             Request::Submit { config, .. } => assert_eq!(config, JobConfig::default()),
             other => panic!("expected submit, got {other:?}"),
@@ -1634,7 +1644,10 @@ mod tests {
             retry_after_ms: 120,
         };
         let line = serde_json::to_string(&resp).unwrap();
-        assert!(line.contains("\"ok\":false"), "a rejection is not ok: {line}");
+        assert!(
+            line.contains("\"ok\":false"),
+            "a rejection is not ok: {line}"
+        );
         assert!(line.contains("\"kind\":\"overloaded\""));
         assert!(line.contains("\"retry_after_ms\":120"));
         round_trip_response(resp);
@@ -1679,8 +1692,13 @@ mod tests {
     #[test]
     fn progress_events_round_trip() {
         for frame in [
-            ProgressFrame::Phase { phase: "global".into() },
-            ProgressFrame::Incumbent { objective: 42.5, nodes: 70 },
+            ProgressFrame::Phase {
+                phase: "global".into(),
+            },
+            ProgressFrame::Incumbent {
+                objective: 42.5,
+                nodes: 70,
+            },
             ProgressFrame::Nodes { nodes: 128 },
         ] {
             let ev = JobEvent::Progress { job: 9, frame };
@@ -1792,15 +1810,36 @@ mod tests {
     /// solve payloads.
     fn payload_fixtures() -> Vec<String> {
         let hand = Value::Object(vec![
-            ("floats".into(), Value::Array(
-                [0.1 + 0.2, -0.0, 3.0, -2.5e-9, 1e16, 1e20, f64::INFINITY, f64::NAN]
+            (
+                "floats".into(),
+                Value::Array(
+                    [
+                        0.1 + 0.2,
+                        -0.0,
+                        3.0,
+                        -2.5e-9,
+                        1e16,
+                        1e20,
+                        f64::INFINITY,
+                        f64::NAN,
+                    ]
                     .into_iter()
                     .map(Value::Float)
                     .collect(),
-            )),
-            ("ints".into(), Value::Array(vec![Value::Int(-7), Value::UInt(u64::MAX)])),
-            ("text".into(), Value::Str("quote \" slash \\ nl \n tab \t ctl \u{1} é".into())),
-            ("flags".into(), Value::Array(vec![Value::Bool(true), Value::Null])),
+                ),
+            ),
+            (
+                "ints".into(),
+                Value::Array(vec![Value::Int(-7), Value::UInt(u64::MAX)]),
+            ),
+            (
+                "text".into(),
+                Value::Str("quote \" slash \\ nl \n tab \t ctl \u{1} é".into()),
+            ),
+            (
+                "flags".into(),
+                Value::Array(vec![Value::Bool(true), Value::Null]),
+            ),
             ("empty".into(), Value::Object(vec![])),
         ]);
         let mut fixtures = vec![
@@ -1835,7 +1874,12 @@ mod tests {
         payloads.extend(payload_fixtures().into_iter().map(Some));
         let objectives = [None, Some(42.0), Some(-0.5), Some(123456.789), Some(1e-7)];
         let errors = [None, Some("job 3 \"failed\"\nbadly")];
-        let states = [JobState::Done, JobState::Queued, JobState::Deadline, JobState::Expired];
+        let states = [
+            JobState::Done,
+            JobState::Queued,
+            JobState::Deadline,
+            JobState::Expired,
+        ];
         for payload in &payloads {
             let tree = payload
                 .as_ref()

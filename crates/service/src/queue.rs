@@ -823,8 +823,10 @@ impl JobQueue {
         } else {
             opts.workers
         };
-        let persist = opts.persist_dir.as_deref().and_then(|dir| {
-            match PersistStore::open(dir) {
+        let persist = opts
+            .persist_dir
+            .as_deref()
+            .and_then(|dir| match PersistStore::open(dir) {
                 Ok(store) => Some(Arc::new(store)),
                 Err(e) => {
                     eprintln!(
@@ -833,8 +835,7 @@ impl JobQueue {
                     );
                     None
                 }
-            }
-        });
+            });
         let inner = Arc::new(Inner {
             jobs: Mutex::with_rank(VecDeque::new(), crate::ranks::WORK, "queue-jobs"),
             work_cond: Condvar::new(),
@@ -909,7 +910,11 @@ impl JobQueue {
 
         JobQueue {
             inner,
-            workers: Mutex::with_rank(handles, crate::ranks::WORKER_HANDLES, "queue-worker-handles"),
+            workers: Mutex::with_rank(
+                handles,
+                crate::ranks::WORKER_HANDLES,
+                "queue-worker-handles",
+            ),
             num_workers: workers,
         }
     }
@@ -1185,11 +1190,8 @@ impl JobQueue {
                 );
                 drop(shard);
                 if transitioned {
-                    self.inner.emit_state(
-                        id,
-                        JobState::Cancelled,
-                        Some(Termination::Cancelled),
-                    );
+                    self.inner
+                        .emit_state(id, JobState::Cancelled, Some(Termination::Cancelled));
                     self.inner.emit_stats_delta();
                     sync.cond.notify_all();
                     self.inner.notify_idle();
@@ -1821,7 +1823,11 @@ mod tests {
         q.shutdown();
         let (design, board) = small_instance(4);
         let t = q.submit(design, board, JobConfig::default());
-        assert_eq!(t.state, JobState::Failed, "no worker will ever pop this job");
+        assert_eq!(
+            t.state,
+            JobState::Failed,
+            "no worker will ever pop this job"
+        );
         let out = q.outcome(t.id).unwrap();
         assert_eq!(out.state, JobState::Failed);
         assert!(out.error.as_deref().unwrap().contains("shut down"));
@@ -1860,7 +1866,10 @@ mod tests {
         // The infallible path bypasses the gate: in-process callers own
         // their backpressure.
         let (design, board) = small_instance(79);
-        assert_eq!(q.submit(design, board, JobConfig::default()).state, JobState::Queued);
+        assert_eq!(
+            q.submit(design, board, JobConfig::default()).state,
+            JobState::Queued
+        );
         // Draining below the bound re-admits.
         q.cancel(running.id);
         q.cancel(queued.id);
@@ -2252,7 +2261,9 @@ mod tests {
         let (design, board) = small_instance(22);
         let key = instance_key(&design, &board, &JobConfig::default());
         // A record whose checksum holds but whose payload is not JSON.
-        PersistStore::open(&dir).unwrap().put(key, 1.0, "{\"global\":[1,");
+        PersistStore::open(&dir)
+            .unwrap()
+            .put(key, 1.0, "{\"global\":[1,");
         let q = JobQueue::new(QueueOptions {
             workers: 1,
             persist_dir: Some(dir.clone()),

@@ -84,7 +84,11 @@ fn ranked_workload_records_zero_violations() {
             Popped::Closed => break,
         }
     }
-    assert_eq!(terminal, jobs.len(), "every watched job must reach a terminal state");
+    assert_eq!(
+        terminal,
+        jobs.len(),
+        "every watched job must reach a terminal state"
+    );
 
     // Cache hit + poll/outcome/cancel paths for good measure.
     let (design, board) = tiny_instance(0);

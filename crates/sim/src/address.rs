@@ -36,7 +36,10 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "reserved depth {reserved} is not a power of two")
             }
             DecodeError::NeedsAdder { base, reserved } => {
-                write!(f, "base {base} not aligned to {reserved}: offset adder required")
+                write!(
+                    f,
+                    "base {base} not aligned to {reserved}: offset adder required"
+                )
             }
         }
     }

@@ -143,10 +143,7 @@ impl Machine {
                 port_keys: f
                     .ports
                     .iter()
-                    .map(|&p| {
-                        port_base[f.bank_type.0]
-                            + (f.instance * bank.ports + p) as usize
-                    })
+                    .map(|&p| port_base[f.bank_type.0] + (f.instance * bank.ports + p) as usize)
                     .collect(),
                 word_lo: f.word_offset,
                 word_hi: f.word_offset + f.used_depth,
@@ -176,7 +173,12 @@ impl Machine {
         let mut total_stalls: u64 = 0;
         let mut pin_crossings: u64 = 0;
 
-        for &Access { segment, word, kind } in &trace.accesses {
+        for &Access {
+            segment,
+            word,
+            kind,
+        } in &trace.accesses
+        {
             let frags = &self.frags_by_segment[segment.0];
             // All column fragments covering this word participate.
             let involved: Vec<&FragInfo> = frags
@@ -263,7 +265,9 @@ mod tests {
     #[test]
     fn mapped_design_simulates() {
         let (design, board) = world();
-        let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+        let out = Mapper::new(MapperOptions::new())
+            .map(&design, &board)
+            .unwrap();
         let trace = Trace::from_profiles(&design);
         let report = simulate_mapping(&design, &board, &out.detailed, &trace).unwrap();
         assert!(report.makespan > 0);
@@ -281,7 +285,9 @@ mod tests {
         let trace = Trace::from_profiles(&design);
 
         // Mapping A: optimal (mapper's choice).
-        let good = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+        let good = Mapper::new(MapperOptions::new())
+            .map(&design, &board)
+            .unwrap();
         let good_report = simulate_mapping(&design, &board, &good.detailed, &trace).unwrap();
 
         // Mapping B: force everything off-chip via a no-good on both
@@ -299,8 +305,14 @@ mod tests {
             &gmm_core::SolverBackend::default(),
             false,
             &[
-                NoGood { bank_type: gmm_arch::BankTypeId(0), segments: vec![gmm_design::SegmentId(0)] },
-                NoGood { bank_type: gmm_arch::BankTypeId(0), segments: vec![gmm_design::SegmentId(1)] },
+                NoGood {
+                    bank_type: gmm_arch::BankTypeId(0),
+                    segments: vec![gmm_design::SegmentId(0)],
+                },
+                NoGood {
+                    bank_type: gmm_arch::BankTypeId(0),
+                    segments: vec![gmm_design::SegmentId(1)],
+                },
             ],
         )
         .unwrap();
@@ -319,7 +331,9 @@ mod tests {
     #[test]
     fn port_stats_accumulate() {
         let (design, board) = world();
-        let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+        let out = Mapper::new(MapperOptions::new())
+            .map(&design, &board)
+            .unwrap();
         let trace = Trace::from_profiles(&design);
         let report = simulate_mapping(&design, &board, &out.detailed, &trace).unwrap();
         // Busy cycles exist on exactly the ports the mapping uses, and
@@ -334,7 +348,9 @@ mod tests {
     #[test]
     fn strided_trace_replays() {
         let (design, board) = world();
-        let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+        let out = Mapper::new(MapperOptions::new())
+            .map(&design, &board)
+            .unwrap();
         let trace = Trace::strided(&design, 7, 1);
         let report = simulate_mapping(&design, &board, &out.detailed, &trace).unwrap();
         assert_eq!(

@@ -135,7 +135,9 @@ mod tests {
         b.segment("b", 64, 4).unwrap();
         let design = b.build().unwrap();
         let board = Board::prototyping("XCV300", 1).unwrap();
-        let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+        let out = Mapper::new(MapperOptions::new())
+            .map(&design, &board)
+            .unwrap();
         let json = serde_json::to_string(&out.detailed).unwrap();
         (design, board, json)
     }

@@ -44,7 +44,10 @@ pub fn conv2d(w: u32, h: u32, k: u32) -> Design {
     let out = b.segment("result", w * h / 4, 32).unwrap();
     let pixels = (w * h) as u64;
     b.profile(image, AccessProfile::new(pixels / 4, pixels / 4));
-    b.profile(kernel, AccessProfile::new(pixels * (k * k) as u64, (k * k) as u64));
+    b.profile(
+        kernel,
+        AccessProfile::new(pixels * (k * k) as u64, (k * k) as u64),
+    );
     for &l in &lines {
         b.profile(l, AccessProfile::new(pixels, pixels));
     }
@@ -115,7 +118,10 @@ pub fn histogram(w: u32, h: u32, bins: u32) -> Design {
     let out = b.segment("out_image", w * h / 4, 32).unwrap();
     let pixels = (w * h) as u64;
     b.profile(image, AccessProfile::new(pixels / 2, pixels / 4));
-    b.profile(hist, AccessProfile::new(pixels + bins as u64, pixels + bins as u64));
+    b.profile(
+        hist,
+        AccessProfile::new(pixels + bins as u64, pixels + bins as u64),
+    );
     b.profile(cdf, AccessProfile::new(bins as u64 * 2, bins as u64));
     b.profile(remap, AccessProfile::new(pixels, bins as u64));
     b.profile(out, AccessProfile::new(0, pixels / 4));
@@ -190,9 +196,9 @@ mod tests {
         let board = gmm_arch::Board::prototyping("XCV1000", 6).unwrap();
         let mapper = Mapper::new(MapperOptions::new());
         for design in [fir(16, 512), fft(1024), histogram(64, 64, 256)] {
-            let out = mapper.map(&design, &board).unwrap_or_else(|e| {
-                panic!("{} failed to map: {e}", design.num_segments())
-            });
+            let out = mapper
+                .map(&design, &board)
+                .unwrap_or_else(|e| panic!("{} failed to map: {e}", design.num_segments()));
             let v = gmm_core::validate_detailed(&design, &board, &out.detailed);
             assert!(v.is_empty(), "{v:?}");
         }

@@ -23,8 +23,12 @@ pub mod sweep;
 pub mod table3;
 
 pub use random::{board_from_specs, random_design, RandomDesignSpec, TypeSpec};
-pub use stream::{cycling_instances, stream_instances, CyclingStream, InstanceStream, StreamInstance, StreamSpec};
-pub use sweep::{arch_grid, geometric_mean, pareto_front, suite_designs, ArchPoint, ArchScore, SweepSpec};
+pub use stream::{
+    cycling_instances, stream_instances, CyclingStream, InstanceStream, StreamInstance, StreamSpec,
+};
+pub use sweep::{
+    arch_grid, geometric_mean, pareto_front, suite_designs, ArchPoint, ArchScore, SweepSpec,
+};
 pub use table3::{
     slow_table3_instance, table3_board, table3_design, table3_instance, Table3Point, TABLE3,
 };

@@ -86,7 +86,10 @@ impl TypeSpec {
         } else {
             // Single configuration: width 16 unless capacity is tiny.
             let width = 16u32.min(self.capacity_bits as u32);
-            vec![RamConfig::new((self.capacity_bits / width as u64) as u32, width)]
+            vec![RamConfig::new(
+                (self.capacity_bits / width as u64) as u32,
+                width,
+            )]
         };
         BankType::new(
             self.name.clone(),

@@ -249,7 +249,9 @@ mod tests {
 
     #[test]
     fn cycling_stream_clamps_distinct_to_one() {
-        let v: Vec<StreamInstance> = cycling_instances(StreamSpec::default(), 0).take(3).collect();
+        let v: Vec<StreamInstance> = cycling_instances(StreamSpec::default(), 0)
+            .take(3)
+            .collect();
         assert_eq!(v[0].design, v[1].design);
         assert_eq!(v[1].design, v[2].design);
     }

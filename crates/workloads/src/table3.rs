@@ -43,15 +43,87 @@ pub struct Table3Point {
 
 /// The nine rows of Table 3, including the paper's reported CPLEX times.
 pub const TABLE3: [Table3Point; 9] = [
-    Table3Point { index: 1, segments: 22, banks: 13, ports: 25, configs: 50, paper_complete_secs: 8.1, paper_global_secs: 7.8 },
-    Table3Point { index: 2, segments: 32, banks: 23, ports: 45, configs: 100, paper_complete_secs: 29.4, paper_global_secs: 25.3 },
-    Table3Point { index: 3, segments: 32, banks: 45, ports: 77, configs: 150, paper_complete_secs: 99.3, paper_global_secs: 50.7 },
-    Table3Point { index: 4, segments: 42, banks: 45, ports: 77, configs: 150, paper_complete_secs: 130.4, paper_global_secs: 59.2 },
-    Table3Point { index: 5, segments: 32, banks: 65, ports: 105, configs: 150, paper_complete_secs: 172.7, paper_global_secs: 105.1 },
-    Table3Point { index: 6, segments: 62, banks: 65, ports: 105, configs: 150, paper_complete_secs: 411.0, paper_global_secs: 140.4 },
-    Table3Point { index: 7, segments: 32, banks: 180, ports: 265, configs: 375, paper_complete_secs: 518.3, paper_global_secs: 216.4 },
-    Table3Point { index: 8, segments: 62, banks: 180, ports: 265, configs: 375, paper_complete_secs: 1225.0, paper_global_secs: 309.0 },
-    Table3Point { index: 9, segments: 132, banks: 180, ports: 265, configs: 375, paper_complete_secs: 2989.0, paper_global_secs: 489.0 },
+    Table3Point {
+        index: 1,
+        segments: 22,
+        banks: 13,
+        ports: 25,
+        configs: 50,
+        paper_complete_secs: 8.1,
+        paper_global_secs: 7.8,
+    },
+    Table3Point {
+        index: 2,
+        segments: 32,
+        banks: 23,
+        ports: 45,
+        configs: 100,
+        paper_complete_secs: 29.4,
+        paper_global_secs: 25.3,
+    },
+    Table3Point {
+        index: 3,
+        segments: 32,
+        banks: 45,
+        ports: 77,
+        configs: 150,
+        paper_complete_secs: 99.3,
+        paper_global_secs: 50.7,
+    },
+    Table3Point {
+        index: 4,
+        segments: 42,
+        banks: 45,
+        ports: 77,
+        configs: 150,
+        paper_complete_secs: 130.4,
+        paper_global_secs: 59.2,
+    },
+    Table3Point {
+        index: 5,
+        segments: 32,
+        banks: 65,
+        ports: 105,
+        configs: 150,
+        paper_complete_secs: 172.7,
+        paper_global_secs: 105.1,
+    },
+    Table3Point {
+        index: 6,
+        segments: 62,
+        banks: 65,
+        ports: 105,
+        configs: 150,
+        paper_complete_secs: 411.0,
+        paper_global_secs: 140.4,
+    },
+    Table3Point {
+        index: 7,
+        segments: 32,
+        banks: 180,
+        ports: 265,
+        configs: 375,
+        paper_complete_secs: 518.3,
+        paper_global_secs: 216.4,
+    },
+    Table3Point {
+        index: 8,
+        segments: 62,
+        banks: 180,
+        ports: 265,
+        configs: 375,
+        paper_complete_secs: 1225.0,
+        paper_global_secs: 309.0,
+    },
+    Table3Point {
+        index: 9,
+        segments: 132,
+        banks: 180,
+        ports: 265,
+        configs: 375,
+        paper_complete_secs: 2989.0,
+        paper_global_secs: 489.0,
+    },
 ];
 
 /// Build a board matching `(banks, ports, configs)` exactly.
@@ -244,7 +316,9 @@ mod tests {
     fn smallest_point_globally_mappable() {
         use gmm_core::pipeline::{Mapper, MapperOptions};
         let (design, board, _) = table3_instance(1);
-        let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+        let out = Mapper::new(MapperOptions::new())
+            .map(&design, &board)
+            .unwrap();
         assert_eq!(out.global.type_of.len(), 22);
         let violations = gmm_core::validate_detailed(&design, &board, &out.detailed);
         assert!(violations.is_empty(), "{violations:?}");

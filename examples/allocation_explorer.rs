@@ -73,7 +73,10 @@ fn main() {
             rejected += 1;
             "  X"
         };
-        println!("  {:>2} {:>2} {:>2}{mark}", opt.words[0], opt.words[1], opt.words[2]);
+        println!(
+            "  {:>2} {:>2} {:>2}{mark}",
+            opt.words[0], opt.words[1], opt.words[2]
+        );
     }
     println!("  {accepted} accepted, {rejected} rejected (e.g. 8/8/0: two half-banks each need 2 of 3 ports)");
 

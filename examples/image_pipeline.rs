@@ -20,15 +20,26 @@ fn main() {
     let board = BoardBuilder::new("XCV1000 pipeline board")
         .device("XCV1000")
         .expect("catalog device")
-        .bank(gmm_arch::devices::off_chip::zbt_sram("ZBT SRAM", 4, 262_144, 32))
-        .bank(gmm_arch::devices::off_chip::bus_sram("Bus SRAM", 4, 524_288, 16))
+        .bank(gmm_arch::devices::off_chip::zbt_sram(
+            "ZBT SRAM", 4, 262_144, 32,
+        ))
+        .bank(gmm_arch::devices::off_chip::bus_sram(
+            "Bus SRAM", 4, 524_288, 16,
+        ))
         .bank(gmm_arch::devices::off_chip::dram("DRAM", 2, 1 << 20, 64))
         .build()
         .expect("valid board");
     println!("board: {} ({} bank types)", board.name, board.num_types());
 
-    for design in [kernels::conv2d(128, 128, 3), kernels::histogram(128, 128, 256)] {
-        println!("\n=== {} ({} segments) ===", design.name(), design.num_segments());
+    for design in [
+        kernels::conv2d(128, 128, 3),
+        kernels::histogram(128, 128, 256),
+    ] {
+        println!(
+            "\n=== {} ({} segments) ===",
+            design.name(),
+            design.num_segments()
+        );
 
         // The mapper's (cost-optimal) assignment; overlap-aware since the
         // kernels carry lifetimes.
@@ -77,7 +88,10 @@ fn main() {
         let fast = simulate_mapping(&design, &board, &good.detailed, &trace).unwrap();
         let slow = simulate_mapping(&design, &board, &forced_detailed, &trace).unwrap();
 
-        println!("\n  {:<22} {:>14} {:>14}", "", "optimal map", "all off-chip");
+        println!(
+            "\n  {:<22} {:>14} {:>14}",
+            "", "optimal map", "all off-chip"
+        );
         println!(
             "  {:<22} {:>14} {:>14}",
             "total latency (cy)", fast.total_latency, slow.total_latency

@@ -35,10 +35,7 @@ fn main() {
     let mpu = MultiPuBoard::linear_array(board.clone(), 2, 4).unwrap();
     println!("board: {} with {} PUs", board.name, mpu.num_pus());
     for u in 0..mpu.num_pus() {
-        let row: Vec<u32> = board
-            .iter()
-            .map(|(t, _)| mpu.pins(PuId(u), t))
-            .collect();
+        let row: Vec<u32> = board.iter().map(|(t, _)| mpu.pins(PuId(u), t)).collect();
         println!("  PU{u} pin distances to bank types: {row:?}");
     }
 

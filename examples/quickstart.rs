@@ -72,7 +72,10 @@ fn main() {
 
     // 5. Everything the mapper produces is machine-checkable.
     let violations = validate_detailed(&design, &board, &outcome.detailed);
-    assert!(violations.is_empty(), "mapper produced violations: {violations:?}");
+    assert!(
+        violations.is_empty(),
+        "mapper produced violations: {violations:?}"
+    );
     println!(
         "\nvalidated: {} fragments across {} instances, 0 violations",
         outcome.detailed.fragments.len(),

@@ -60,7 +60,9 @@ pub use gmm_workloads as workloads;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use gmm_api::{ApiError, CancelToken, MapReport, MapRequest, ProgressObserver, Termination};
+    pub use gmm_api::{
+        ApiError, CancelToken, MapReport, MapRequest, ProgressObserver, Termination,
+    };
     pub use gmm_arch::{BankType, BankTypeId, Board, BoardBuilder, Placement, RamConfig};
     pub use gmm_core::pipeline::{DetailedStrategy, Mapper, MapperOptions, MappingOutcome};
     pub use gmm_core::{

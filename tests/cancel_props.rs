@@ -99,7 +99,9 @@ fn cancelling_at_arbitrary_points_never_violates_queue_invariants() {
                 board,
                 JobConfig::default(),
                 // Half the slow jobs also get a deadline they will hit.
-                rng.next().is_multiple_of(2).then(|| Duration::from_millis(50)),
+                rng.next()
+                    .is_multiple_of(2)
+                    .then(|| Duration::from_millis(50)),
             );
             ids.push(t.id);
             submitted += 1;
@@ -158,7 +160,10 @@ fn cancelling_at_arbitrary_points_never_violates_queue_invariants() {
         assert!(out.state.is_terminal());
         match out.state {
             JobState::Cancelled => {
-                assert!(out.solution_json.is_none(), "cancelled jobs ship no payload");
+                assert!(
+                    out.solution_json.is_none(),
+                    "cancelled jobs ship no payload"
+                );
                 assert!(out.error.is_some(), "cancelled jobs explain themselves");
             }
             JobState::Done => assert!(out.solution_json.is_some()),

@@ -116,7 +116,9 @@ fn figure2_ports_conserved_through_detailed_mapping() {
     let mut b = DesignBuilder::new("d");
     b.segment("ds", 55, 17).unwrap();
     let design = b.build().unwrap();
-    let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+    let out = Mapper::new(MapperOptions::new())
+        .map(&design, &board)
+        .unwrap();
     let ports_used: usize = out.detailed.fragments.iter().map(|f| f.ports.len()).sum();
     assert_eq!(ports_used, 26, "CP_dt must be conserved");
 }

@@ -3,9 +3,7 @@
 //! cross-crate pieces (simulator behaviour) their unit tests cannot reach.
 
 use fpga_memmap::prelude::*;
-use gmm_core::arbitration::{
-    map_detailed_arbitrated, solve_global_arbitrated, ArbitrationOptions,
-};
+use gmm_core::arbitration::{map_detailed_arbitrated, solve_global_arbitrated, ArbitrationOptions};
 use gmm_core::multipu::{map_multi_pu, MultiPuBoard, PuId, PuOwnership};
 use gmm_core::validate_detailed_policy;
 use gmm_core::{CostMatrix, PreTable};
@@ -78,7 +76,9 @@ fn simulator_shows_arbitration_stalls() {
         .unwrap()],
     )
     .unwrap();
-    let out = Mapper::new(MapperOptions::new()).map(&design, &roomy).unwrap();
+    let out = Mapper::new(MapperOptions::new())
+        .map(&design, &roomy)
+        .unwrap();
     let dedicated = simulate_mapping(&design, &roomy, &out.detailed, &trace).unwrap();
     assert!(
         dedicated.total_stalls < report.total_stalls,
@@ -120,8 +120,7 @@ fn multi_pu_end_to_end() {
     let out = map_multi_pu(&mapper, &design, &mpu, &owner).unwrap();
     for (d, t) in out.global.type_of.iter().enumerate() {
         assert_eq!(
-            t.0,
-            owner.0[d].0,
+            t.0, owner.0[d].0,
             "segment {d} must sit on the type next to its PU"
         );
     }
@@ -132,14 +131,12 @@ fn multi_pu_end_to_end() {
     // pin-delay cost must be strictly better.
     let swapped = PuOwnership(vec![PuId(1), PuId(0), PuId(1), PuId(0), PuId(1), PuId(0)]);
     let pre = PreTable::build(&design, &board);
-    let matrix = CostMatrix::build_with_pins(&design, &board, &pre, |d, t| {
-        mpu.pins(owner.0[d.0], t)
-    });
+    let matrix =
+        CostMatrix::build_with_pins(&design, &board, &pre, |d, t| mpu.pins(owner.0[d.0], t));
     // Evaluate the aligned assignment against the *swapped* cost view:
     // it must look worse there than the swapped-optimal mapping.
-    let swapped_matrix = CostMatrix::build_with_pins(&design, &board, &pre, |d, t| {
-        mpu.pins(swapped.0[d.0], t)
-    });
+    let swapped_matrix =
+        CostMatrix::build_with_pins(&design, &board, &pre, |d, t| mpu.pins(swapped.0[d.0], t));
     let aligned_cost = gmm_core::cost::assignment_cost(&matrix, &out.global.type_of);
     let mis_cost = gmm_core::cost::assignment_cost(&swapped_matrix, &out.global.type_of);
     assert!(aligned_cost.pin_delay < mis_cost.pin_delay);
@@ -160,8 +157,8 @@ fn arbitration_is_conservative_extension() {
     let w = CostWeights::default();
     let backend = SolverBackend::default();
 
-    let base = gmm_core::solve_global(&design, &board, &pre, &matrix, &w, &backend, false, &[])
-        .unwrap();
+    let base =
+        gmm_core::solve_global(&design, &board, &pre, &matrix, &w, &backend, false, &[]).unwrap();
     let arb = solve_global_arbitrated(
         &design,
         &board,

@@ -20,7 +20,9 @@ use gmm_arch::Board;
 use gmm_heur::{greedy_map, greedy_solve, HeurOptions, SolveMode};
 use gmm_service::{canonical_json, JobConfig, JobQueue, JobSolution, JobState, QueueOptions};
 use gmm_sim::{simulate_mapping, Trace};
-use gmm_workloads::{random_design, slow_table3_instance, stream_instances, RandomDesignSpec, StreamSpec};
+use gmm_workloads::{
+    random_design, slow_table3_instance, stream_instances, RandomDesignSpec, StreamSpec,
+};
 
 fn instance(seed: u64, segments: usize) -> (gmm_design::Design, Board) {
     let design = random_design(&RandomDesignSpec {
@@ -118,13 +120,20 @@ fn heuristic_mode_is_feasible_and_validates() {
             .execute()
             .expect("heuristic solve");
         assert_eq!(report.termination, Termination::Feasible, "{}", inst.name);
-        let outcome = report.outcome.as_ref().expect("feasible report has an outcome");
+        let outcome = report
+            .outcome
+            .as_ref()
+            .expect("feasible report has an outcome");
         assert!(
             gmm_core::validate_detailed(&inst.design, &inst.board, &outcome.detailed).is_empty(),
             "{}: heuristic outcome must validate",
             inst.name
         );
-        assert_eq!(report.heuristic_objective, report.objective, "{}", inst.name);
+        assert_eq!(
+            report.heuristic_objective, report.objective,
+            "{}",
+            inst.name
+        );
     }
 }
 
@@ -148,7 +157,10 @@ fn deadlined_portfolio_degrades_to_feasible_with_the_heuristic_incumbent() {
     let h = portfolio
         .heuristic_objective
         .expect("the fallback records the greedy objective");
-    let outcome = portfolio.outcome.as_ref().expect("feasible carries a mapping");
+    let outcome = portfolio
+        .outcome
+        .as_ref()
+        .expect("feasible carries a mapping");
     assert!(
         gmm_core::validate_detailed(&design, &board, &outcome.detailed).is_empty(),
         "the deadline fallback must still validate"
@@ -188,7 +200,10 @@ fn portfolio_stream_seeds_incumbents_through_the_queue() {
         assert_eq!(out.state, JobState::Done);
     }
     let s = queue.stats();
-    assert_eq!(s.heuristic_solved, 8, "every stream solve is greedy-mappable: {s:?}");
+    assert_eq!(
+        s.heuristic_solved, 8,
+        "every stream solve is greedy-mappable: {s:?}"
+    );
     assert!(
         s.heuristic_seeded > 0,
         "the portfolio fast path never engaged on the stream workload: {s:?}"

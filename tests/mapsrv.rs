@@ -32,7 +32,9 @@ fn start_server() -> (MapServer, MapClient) {
 }
 
 fn instances() -> Vec<StreamInstance> {
-    stream_instances(StreamSpec::default()).take(BATCH).collect()
+    stream_instances(StreamSpec::default())
+        .take(BATCH)
+        .collect()
 }
 
 fn submit_round(client: &mut MapClient, instances: &[StreamInstance]) -> Vec<(u64, bool)> {
@@ -40,7 +42,11 @@ fn submit_round(client: &mut MapClient, instances: &[StreamInstance]) -> Vec<(u6
         .iter()
         .map(|inst| {
             let (job, _state, cached) = client
-                .submit(inst.design.clone(), inst.board.clone(), JobConfig::default())
+                .submit(
+                    inst.design.clone(),
+                    inst.board.clone(),
+                    JobConfig::default(),
+                )
                 .expect("submit");
             (job, cached)
         })
@@ -68,13 +74,7 @@ fn mapsrv_end_to_end_batch_with_cache_hits() {
     let cold = wait_round(&mut client, &jobs);
     let mut cold_bytes = Vec::with_capacity(BATCH);
     for (inst, out) in instances.iter().zip(&cold) {
-        assert_eq!(
-            out.state,
-            JobState::Done,
-            "{}: {:?}",
-            inst.name,
-            out.error
-        );
+        assert_eq!(out.state, JobState::Done, "{}: {:?}", inst.name, out.error);
         assert!(out.objective.is_some(), "{}: no objective", inst.name);
 
         // The solution must be a valid optimal mapping, not just bytes:
@@ -82,8 +82,7 @@ fn mapsrv_end_to_end_batch_with_cache_hits() {
         let solution: JobSolution =
             serde_json::from_str(&solution_bytes(out)).expect("solution deserializes");
         assert_eq!(solution.global.type_of.len(), inst.design.num_segments());
-        let violations =
-            gmm_core::validate_detailed(&inst.design, &inst.board, &solution.detailed);
+        let violations = gmm_core::validate_detailed(&inst.design, &inst.board, &solution.detailed);
         assert!(violations.is_empty(), "{}: {violations:?}", inst.name);
 
         cold_bytes.push(solution_bytes(out));
@@ -103,7 +102,11 @@ fn mapsrv_end_to_end_batch_with_cache_hits() {
     for ((inst, out), cold_json) in instances.iter().zip(&warm).zip(&cold_bytes) {
         assert_eq!(out.state, JobState::Done, "{}", inst.name);
         let warm_json = solution_bytes(out);
-        assert_eq!(&warm_json, cold_json, "{}: cache hit not byte-identical", inst.name);
+        assert_eq!(
+            &warm_json, cold_json,
+            "{}: cache hit not byte-identical",
+            inst.name
+        );
 
         let detail = |json: &str| {
             let v: serde::Value = serde_json::from_str(json).unwrap();
@@ -203,7 +206,11 @@ fn mapsrv_survives_malformed_and_unknown_requests() {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
 
-    for bad in ["this is not json", "{\"verb\":\"frobnicate\"}", "{\"verb\":\"poll\"}"] {
+    for bad in [
+        "this is not json",
+        "{\"verb\":\"frobnicate\"}",
+        "{\"verb\":\"poll\"}",
+    ] {
         writer.write_all(bad.as_bytes()).unwrap();
         writer.write_all(b"\n").unwrap();
         writer.flush().unwrap();
@@ -246,7 +253,10 @@ fn mapsrv_answers_hostile_nesting_with_an_error_and_keeps_serving() {
     );
     line.clear();
     reader.read_line(&mut line).unwrap();
-    assert!(line.contains("\"ok\":true") && line.contains("\"stats\""), "got {line:?}");
+    assert!(
+        line.contains("\"ok\":true") && line.contains("\"stats\""),
+        "got {line:?}"
+    );
 
     client.shutdown().expect("shutdown");
     server.join();

@@ -35,7 +35,11 @@ fn table2_allocation_options() {
     let verdict = |w: &[u32]| opts.iter().find(|o| o.words == w).map(|o| o.accepted);
     // Paper rows (Port1, Port2, Port3 options) — spot-checked:
     assert_eq!(verdict(&[16, 0, 0]), Some(true));
-    assert_eq!(verdict(&[8, 8, 0]), Some(false), "explicitly rejected in §4.1.1");
+    assert_eq!(
+        verdict(&[8, 8, 0]),
+        Some(false),
+        "explicitly rejected in §4.1.1"
+    );
     assert_eq!(verdict(&[8, 4, 0]), Some(true));
     assert_eq!(verdict(&[8, 0, 0]), Some(true));
     assert_eq!(verdict(&[4, 4, 4]), Some(true));
@@ -124,7 +128,9 @@ fn table3_small_points_map_end_to_end() {
         let design = table3_design(p, 0xF00D);
         let board = table3_board(p);
         let t = std::time::Instant::now();
-        let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+        let out = Mapper::new(MapperOptions::new())
+            .map(&design, &board)
+            .unwrap();
         assert!(
             t.elapsed().as_secs_f64() < 10.0,
             "global/detailed must stay fast on point {idx}"

@@ -33,7 +33,9 @@ fn start_server(dir: &Path) -> (MapServer, MapClient) {
 }
 
 fn instances() -> Vec<StreamInstance> {
-    stream_instances(StreamSpec::default()).take(BATCH).collect()
+    stream_instances(StreamSpec::default())
+        .take(BATCH)
+        .collect()
 }
 
 fn solution_bytes(out: &gmm_service::RemoteOutcome) -> String {
@@ -57,7 +59,11 @@ fn restarted_daemon_serves_the_batch_byte_identically_from_disk() {
         .iter()
         .map(|inst| {
             let (job, _, cached) = client
-                .submit(inst.design.clone(), inst.board.clone(), JobConfig::default())
+                .submit(
+                    inst.design.clone(),
+                    inst.board.clone(),
+                    JobConfig::default(),
+                )
                 .expect("submit");
             assert!(!cached, "{}: first sight must solve cold", inst.name);
             job
@@ -70,7 +76,10 @@ fn restarted_daemon_serves_the_batch_byte_identically_from_disk() {
         cold_bytes.push(solution_bytes(&out));
     }
     let stats1 = client.stats().expect("stats");
-    assert_eq!(stats1.disk_entries, BATCH as u64, "every optimal solve persists");
+    assert_eq!(
+        stats1.disk_entries, BATCH as u64,
+        "every optimal solve persists"
+    );
     assert_eq!(stats1.disk_hits, 0, "nothing was on disk to hit yet");
     assert_eq!(stats1.disk_corrupt, 0);
     client.shutdown().expect("shutdown verb");
@@ -89,7 +98,11 @@ fn restarted_daemon_serves_the_batch_byte_identically_from_disk() {
         .iter()
         .map(|inst| {
             let (job, state, cached) = client
-                .submit(inst.design.clone(), inst.board.clone(), JobConfig::default())
+                .submit(
+                    inst.design.clone(),
+                    inst.board.clone(),
+                    JobConfig::default(),
+                )
                 .expect("resubmit");
             if cached {
                 // A disk hit completes the job at submit time.

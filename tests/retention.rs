@@ -48,7 +48,11 @@ fn eviction_soak_over_tcp_stays_bounded_and_byte_identical() {
 
     for inst in cycling_instances(StreamSpec::default(), DISTINCT).take(SUBMISSIONS) {
         let (job, _state, _cached) = client
-            .submit(inst.design.clone(), inst.board.clone(), JobConfig::default())
+            .submit(
+                inst.design.clone(),
+                inst.board.clone(),
+                JobConfig::default(),
+            )
             .expect("submit");
         job_ids.push(job);
         let out = client.wait(job, WAIT).expect("wait");
@@ -163,7 +167,9 @@ fn concurrent_submitters_keep_stats_truthful_under_eviction() {
                 for inst in cycling_instances(StreamSpec::default(), DISTINCT).take(DISTINCT * 2) {
                     ids.push((
                         inst.name.clone(),
-                        queue.submit(inst.design, inst.board, JobConfig::default()).id,
+                        queue
+                            .submit(inst.design, inst.board, JobConfig::default())
+                            .id,
                     ));
                 }
                 ids
@@ -183,7 +189,11 @@ fn concurrent_submitters_keep_stats_truthful_under_eviction() {
     for (name, id) in &submitted {
         let out = queue.outcome(*id).expect("issued id is never unknown");
         assert_eq!(out.state, JobState::Done, "{name}: {:?}", out.error);
-        let bytes = out.solution_json.expect("done job has payload").solution_json.clone();
+        let bytes = out
+            .solution_json
+            .expect("done job has payload")
+            .solution_json
+            .clone();
         payload_of
             .entry(name.clone())
             .and_modify(|seen| assert_eq!(seen, &bytes, "{name}: divergent payloads"))

@@ -51,7 +51,9 @@ fn design_roundtrips_with_lifetimes_and_profiles() {
 #[test]
 fn mapping_roundtrips_and_revalidates() {
     let (design, board, _) = table3_instance(1);
-    let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+    let out = Mapper::new(MapperOptions::new())
+        .map(&design, &board)
+        .unwrap();
     let back: DetailedMapping = roundtrip(&out.detailed);
     assert_eq!(out.detailed, back);
     // A deserialized mapping still validates against the same world.
@@ -66,7 +68,9 @@ fn trace_and_report_roundtrip() {
     assert_eq!(trace, back);
 
     let board = Board::prototyping("XCV300", 1).unwrap();
-    let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+    let out = Mapper::new(MapperOptions::new())
+        .map(&design, &board)
+        .unwrap();
     let report = simulate_mapping(&design, &board, &out.detailed, &trace).unwrap();
     let report_back: gmm_sim::SimReport = roundtrip(&report);
     assert_eq!(report, report_back);

@@ -89,7 +89,9 @@ fn latency_cost_ordering_matches_simulation() {
 #[test]
 fn latency_cost_is_exact_without_contention() {
     let (design, board) = world();
-    let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+    let out = Mapper::new(MapperOptions::new())
+        .map(&design, &board)
+        .unwrap();
     let trace = Trace::from_profiles(&design);
     let report = simulate_mapping(&design, &board, &out.detailed, &trace).unwrap();
     // Model: sum over segments of reads*RL + writes*WL, plus pins/2 per

@@ -73,7 +73,9 @@ fn overlap_aware_mapping_fits_where_blind_spills() {
     )
     .unwrap();
 
-    let blind = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+    let blind = Mapper::new(MapperOptions::new())
+        .map(&design, &board)
+        .unwrap();
     let mut opts = MapperOptions::new();
     opts.overlap_aware = true;
     let aware = Mapper::new(opts).map(&design, &board).unwrap();
@@ -93,7 +95,9 @@ fn simulated_behaviour_matches_schedule_traffic() {
     use gmm_sim::{simulate_mapping, Trace};
     let design = build_design_with_taskgraph();
     let board = Board::prototyping("XCV300", 2).unwrap();
-    let out = Mapper::new(MapperOptions::new()).map(&design, &board).unwrap();
+    let out = Mapper::new(MapperOptions::new())
+        .map(&design, &board)
+        .unwrap();
     let trace = Trace::from_profiles(&design);
     let report = simulate_mapping(&design, &board, &out.detailed, &trace).unwrap();
     // Every segment of the staged pipeline sees traffic.

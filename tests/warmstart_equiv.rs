@@ -17,8 +17,8 @@
 
 use std::time::Duration;
 
-use gmm_arch::Board;
 use gmm_api::{MapRequest, Termination};
+use gmm_arch::Board;
 use gmm_service::{
     canonical_json, family_key, instance_key, JobConfig, JobQueue, JobSolution, JobState,
     QueueOptions,
@@ -37,7 +37,10 @@ fn instance(seed: u64, segments: usize) -> (gmm_design::Design, Board) {
 }
 
 fn payload(report: &gmm_api::MapReport) -> String {
-    let outcome = report.outcome.as_ref().expect("optimal report has an outcome");
+    let outcome = report
+        .outcome
+        .as_ref()
+        .expect("optimal report has an outcome");
     canonical_json(&JobSolution {
         global: outcome.global.clone(),
         detailed: outcome.detailed.clone(),
@@ -165,7 +168,10 @@ fn family_hint_seeds_a_sibling_solve_through_the_queue() {
     );
     let after_a = queue.stats();
     assert_eq!(after_a.hint_entries, 1, "optimal solve must leave a hint");
-    assert_eq!(after_a.hint_hits, 0, "first family member had nothing to read");
+    assert_eq!(
+        after_a.hint_hits, 0,
+        "first family member had nothing to read"
+    );
 
     // The sibling is a cold solve (different instance key), but its
     // family hint is on disk: offered, and — being feasible on the
@@ -181,7 +187,9 @@ fn family_hint_seeds_a_sibling_solve_through_the_queue() {
         .expect("reference solve");
     assert_eq!(reference.termination, Termination::Optimal);
     let got = out.objective.expect("done job has an objective");
-    let want = reference.objective.expect("optimal report has an objective");
+    let want = reference
+        .objective
+        .expect("optimal report has an objective");
     assert!(
         (got - want).abs() <= 1e-6 * want.abs().max(1.0),
         "hinted queue solve objective {got} != cold reference {want}"

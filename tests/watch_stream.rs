@@ -43,7 +43,9 @@ fn watch_stream_emits_ordered_states_and_bridged_progress() {
     let mut session = Session::connect(server.local_addr()).expect("connect");
     assert_eq!(session.proto(), Proto::V2, "hello must negotiate v2");
 
-    let instances: Vec<_> = stream_instances(StreamSpec::default()).take(BATCH).collect();
+    let instances: Vec<_> = stream_instances(StreamSpec::default())
+        .take(BATCH)
+        .collect();
     let receipts = session
         .submit_batch(
             instances
@@ -258,7 +260,9 @@ fn v1_dialect_round_trips_byte_compatibly_against_the_v2_server() {
     let parsed: Response = serde_json::from_str(&result_line).expect("result parses");
     assert_eq!(serde_json::to_string(&parsed).unwrap(), result_line);
     match parsed {
-        Response::ResultReady { state, solution, .. } => {
+        Response::ResultReady {
+            state, solution, ..
+        } => {
             assert_eq!(state, JobState::Done);
             assert!(solution.is_some());
         }
@@ -284,7 +288,10 @@ fn v1_dialect_round_trips_byte_compatibly_against_the_v2_server() {
             JobConfig::default(),
         )])
         .expect("v1 submits");
-    assert!(receipts[0].cached, "same instance resubmitted must hit the cache");
+    assert!(
+        receipts[0].cached,
+        "same instance resubmitted must hit the cache"
+    );
     let outcomes = v1.wait_all(WAIT).expect("v1 wait_all");
     assert_eq!(outcomes[0].state, JobState::Done);
     // The v1 result shape carries no termination — and must not grow one.
@@ -311,8 +318,14 @@ fn stalled_watcher_drops_progress_but_never_blocks_workers() {
 
     let mut jobs = Vec::with_capacity(JOBS);
     for inst in stream_instances(StreamSpec::default()).take(JOBS) {
-        let ticket =
-            queue.submit_watched(inst.design, inst.board, JobConfig::default(), None, &outbox, true);
+        let ticket = queue.submit_watched(
+            inst.design,
+            inst.board,
+            JobConfig::default(),
+            None,
+            &outbox,
+            true,
+        );
         jobs.push(ticket.id);
     }
 
