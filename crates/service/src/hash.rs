@@ -327,6 +327,23 @@ mod tests {
     }
 
     #[test]
+    fn table3_instance_keys_are_pinned() {
+        // Persisted `cache.log` records and family hints are found by
+        // these keys, so a renderer change that moved a single byte of a
+        // real instance's canonical JSON would orphan every stored entry.
+        let (design, board, _) = gmm_workloads::table3_instance(2);
+        let config = crate::queue::JobConfig::default();
+        assert_eq!(
+            instance_key(&design, &board, &config).to_hex(),
+            "a76d02c9f612614dcf882315ec9d072e"
+        );
+        assert_eq!(
+            family_key(&design, &board, &config).to_hex(),
+            "10176145ace8050c2415055db698e60f"
+        );
+    }
+
+    #[test]
     fn normalization_does_not_leak_into_payload_rendering() {
         // Only the key derivation normalizes; canonical_json (the payload
         // contract) must keep rendering exactly what it is given.
