@@ -225,8 +225,10 @@ fn check_verbs(rel: &str, text: &str, findings: &mut Vec<Finding>) {
             continue;
         }
         let code = code_of(line);
-        if let Some(pos) = code.find("Value::Str(\"") {
-            let rest = &code[pos + "Value::Str(\"".len()..];
+        // Verbs are written as `.token("verb", "<verb>")` members.
+        const PATTERN: &str = "token(\"verb\", \"";
+        if let Some(pos) = code.find(PATTERN) {
+            let rest = &code[pos + PATTERN.len()..];
             if let Some(end) = rest.find('"') {
                 let verb = rest[..end].to_string();
                 if !verb.is_empty() && !verbs.iter().any(|(_, v)| *v == verb) {

@@ -51,8 +51,9 @@ use gmm_api::Termination;
 use gmm_service::events::{writer_loop, Outbox};
 use gmm_service::hash::{instance_key, InstanceKey};
 use gmm_service::protocol::{
-    render_response, AttachSnapshot, JobEvent, ProtoVersions, Request, Response, ServiceStats,
-    SubmitReceipt, SubmitSpec, CAPABILITIES, PROTO_VERSION,
+    frame_too_long, read_frame, render_response, AttachSnapshot, FrameRead, JobEvent,
+    ProtoVersions, Request, Response, ServiceStats, SubmitReceipt, SubmitSpec, CAPABILITIES,
+    PROTO_VERSION,
 };
 use gmm_service::queue::JobState;
 
@@ -431,7 +432,7 @@ fn pump(
             if let Ok(ev) = serde_json::from_value::<JobEvent>(value) {
                 on_backend_event(&conn, &addr, ev);
             }
-        } else if let Ok(frame) = serde_json::from_value::<Response>(value) {
+        } else if let Ok(frame) = Response::from_owned_value(value) {
             // A dropped receiver means no round-trip is waiting; the
             // frame is stale (e.g. an answer after its timeout).
             let _ = resp.send(frame);
@@ -1409,19 +1410,20 @@ fn serve_connection(stream: TcpStream, local: SocketAddr, shared: Arc<RouterShar
     let mut reader = BufReader::new(stream);
     let mut counted = false;
     let mut negotiated_v2 = false;
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        let Ok(n) = reader.read_line(&mut line) else {
-            break;
+        let line = match read_frame(&mut reader, &mut buf) {
+            Ok(FrameRead::Line(line)) => line,
+            Ok(FrameRead::TooLong) => {
+                push_response(&outbox, &frame_too_long());
+                break;
+            }
+            Ok(FrameRead::Eof) | Err(_) => break,
         };
-        if n == 0 {
-            break;
-        }
         if line.trim().is_empty() {
             continue;
         }
-        let request = match serde_json::from_str::<Request>(&line) {
+        let request = match serde_json::from_str::<Request>(line) {
             Ok(r) => r,
             Err(e) => {
                 push_response(

@@ -2,12 +2,16 @@
 //!
 //! The build container has no crates.io access, so this workspace ships a
 //! minimal serialization framework under the `serde` name. Unlike the real
-//! serde's visitor architecture, types convert through an owned JSON-like
-//! [`Value`] tree: [`Serialize`] produces a `Value`, [`Deserialize`] reads
-//! one. The companion `serde_json` stand-in renders `Value` to and from
-//! JSON text. Only the API surface this workspace uses is provided.
+//! serde's visitor architecture, [`Serialize`] has two methods:
+//! [`Serialize::write_json`] appends compact JSON straight to a
+//! [`JsonWriter`], which is how every render goes, and
+//! [`Serialize::to_value`] builds an owned JSON-like [`Value`] tree for the
+//! callers that need one (masking, pretty output). [`Deserialize`] reads a
+//! tree. The companion `serde_json` stand-in parses text into `Value`. Only
+//! the API surface this workspace uses is provided.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -86,6 +90,160 @@ impl Value {
     }
 }
 
+/// Compact JSON text that [`Serialize::write_json`] appends to.
+///
+/// Output is the workspace's one JSON spelling: no whitespace, object
+/// members in the order written, integral floats below `1e15` with a
+/// trailing `.0` so they stay distinguishable from integers, and the bare
+/// tokens `NaN`, `Infinity` and `-Infinity` for non-finite floats.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Key derivation only: write `-0.0` as `0.0` (see [`JsonWriter::hashing`]).
+    fold_signed_zero: bool,
+}
+
+impl JsonWriter {
+    pub fn new() -> JsonWriter {
+        JsonWriter::default()
+    }
+
+    /// An empty writer whose buffer holds `bytes` without growing.
+    pub fn with_capacity(bytes: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            fold_signed_zero: false,
+        }
+    }
+
+    /// A writer for content hashing: `-0.0` is written as `0.0`, since
+    /// the two compare equal and must not split a cache slot. Every NaN
+    /// is already the one token `NaN`. Everything else is written exactly
+    /// as [`JsonWriter::new`] writes it.
+    pub fn hashing() -> JsonWriter {
+        JsonWriter {
+            out: String::new(),
+            fold_signed_zero: true,
+        }
+    }
+
+    pub fn as_str(&self) -> &str {
+        &self.out
+    }
+
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    /// Empty the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.out.clear();
+    }
+
+    /// Append already-rendered JSON (punctuation, literals, a canonical
+    /// payload) verbatim.
+    pub fn raw(&mut self, json: &str) {
+        self.out.push_str(json);
+    }
+
+    pub fn bool(&mut self, b: bool) {
+        self.raw(if b { "true" } else { "false" });
+    }
+
+    pub fn u64(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.raw(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    }
+
+    pub fn i64(&mut self, n: i64) {
+        if n < 0 {
+            self.out.push('-');
+        }
+        self.u64(n.unsigned_abs());
+    }
+
+    pub fn f64(&mut self, f: f64) {
+        if f.is_nan() {
+            self.raw("NaN");
+        } else if f.is_infinite() {
+            self.raw(if f > 0.0 { "Infinity" } else { "-Infinity" });
+        } else if f == f.trunc() && f.abs() < 1e15 {
+            // Exact in an i64; keep the `.0` so it reads back as a float.
+            if f.is_sign_negative() && !(f == 0.0 && self.fold_signed_zero) {
+                self.out.push('-');
+            }
+            self.u64(f.abs() as u64);
+            self.raw(".0");
+        } else {
+            // Shortest round-trip digits; `fmt::Write` on a `String` cannot fail.
+            let _ = write!(self.out, "{f}");
+        }
+    }
+
+    /// A JSON string literal. A string with nothing to escape is copied in
+    /// one piece.
+    pub fn str(&mut self, s: &str) {
+        self.out.push('"');
+        let mut start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            self.out.push_str(&s[start..i]);
+            if escape.is_empty() {
+                let _ = write!(self.out, "\\u{b:04x}");
+            } else {
+                self.out.push_str(escape);
+            }
+            start = i + 1;
+        }
+        self.out.push_str(&s[start..]);
+        self.out.push('"');
+    }
+
+    /// A JSON array of `items`.
+    pub fn seq<'a, T: Serialize + 'a>(&mut self, items: impl IntoIterator<Item = &'a T>) {
+        self.out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            item.write_json(self);
+        }
+        self.out.push(']');
+    }
+
+    /// Splice the members of the object `value` renders into an object
+    /// this writer has open, after `written` members of its own. The
+    /// object's braces are dropped, so its members continue the open one.
+    pub fn members_of(&mut self, value: &dyn Serialize, written: usize) {
+        let mark = self.out.len();
+        value.write_json(self);
+        debug_assert!(self.out[mark..].starts_with('{') && self.out.ends_with('}'));
+        self.out.pop();
+        if self.out.len() == mark + 1 || written == 0 {
+            self.out.remove(mark);
+        } else {
+            self.out.replace_range(mark..mark + 1, ",");
+        }
+    }
+}
+
 /// Deserialization error: a human-readable message with no position info.
 #[derive(Debug, Clone)]
 pub struct DeError(pub String);
@@ -108,9 +266,18 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Convert `self` into a [`Value`] tree.
+/// Render `self` as JSON, as a [`Value`] tree or straight to text.
+///
+/// Both methods must describe the same JSON: `write_json` appends exactly
+/// the bytes that rendering `to_value()` with the compact writer gives.
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// Append `self`'s compact JSON to `out`. The default renders
+    /// `to_value()`; impls override it to write without building a tree.
+    fn write_json(&self, out: &mut JsonWriter) {
+        self.to_value().write_json(out);
+    }
 }
 
 /// Rebuild `Self` from a [`Value`] tree.
@@ -132,6 +299,31 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    /// The one compact writer of a tree.
+    fn write_json(&self, out: &mut JsonWriter) {
+        match self {
+            Value::Null => out.raw("null"),
+            Value::Bool(b) => out.bool(*b),
+            Value::Int(i) => out.i64(*i),
+            Value::UInt(u) => out.u64(*u),
+            Value::Float(f) => out.f64(*f),
+            Value::Str(s) => out.str(s),
+            Value::Array(items) => out.seq(items),
+            Value::Object(pairs) => {
+                out.raw("{");
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.raw(",");
+                    }
+                    out.str(k);
+                    out.raw(":");
+                    v.write_json(out);
+                }
+                out.raw("}");
+            }
+        }
+    }
 }
 
 impl Deserialize for Value {
@@ -144,13 +336,21 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        (**self).write_json(out);
+    }
 }
 
 macro_rules! impl_int {
-    ($($t:ty => $var:ident as $conv:ty, $as:ident);* $(;)?) => {$(
+    ($($t:ty => $var:ident as $conv:ty, $as:ident, $write:ident);* $(;)?) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::$var(*self as $conv)
+            }
+
+            fn write_json(&self, out: &mut JsonWriter) {
+                out.$write(*self as $conv);
             }
         }
         impl Deserialize for $t {
@@ -166,21 +366,25 @@ macro_rules! impl_int {
 }
 
 impl_int! {
-    u8 => UInt as u64, as_u64;
-    u16 => UInt as u64, as_u64;
-    u32 => UInt as u64, as_u64;
-    u64 => UInt as u64, as_u64;
-    usize => UInt as u64, as_u64;
-    i8 => Int as i64, as_i64;
-    i16 => Int as i64, as_i64;
-    i32 => Int as i64, as_i64;
-    i64 => Int as i64, as_i64;
-    isize => Int as i64, as_i64;
+    u8 => UInt as u64, as_u64, u64;
+    u16 => UInt as u64, as_u64, u64;
+    u32 => UInt as u64, as_u64, u64;
+    u64 => UInt as u64, as_u64, u64;
+    usize => UInt as u64, as_u64, u64;
+    i8 => Int as i64, as_i64, i64;
+    i16 => Int as i64, as_i64, i64;
+    i32 => Int as i64, as_i64, i64;
+    i64 => Int as i64, as_i64, i64;
+    isize => Int as i64, as_i64, i64;
 }
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
+    }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.f64(*self);
     }
 }
 
@@ -193,6 +397,10 @@ impl Deserialize for f64 {
 impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::Float(f64::from(*self))
+    }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.f64(f64::from(*self));
     }
 }
 
@@ -207,6 +415,10 @@ impl Deserialize for f32 {
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.bool(*self);
     }
 }
 
@@ -223,6 +435,10 @@ impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.str(self);
+    }
 }
 
 impl Deserialize for String {
@@ -236,6 +452,10 @@ impl Deserialize for String {
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_owned())
+    }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.str(self);
     }
 }
 
@@ -252,6 +472,10 @@ impl Deserialize for &'static str {
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -272,6 +496,10 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.seq(self);
+    }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -291,6 +519,13 @@ impl<T: Serialize> Serialize for Option<T> {
             Some(t) => t.to_value(),
         }
     }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        match self {
+            None => out.raw("null"),
+            Some(t) => t.write_json(out),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -305,6 +540,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
 impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.seq(self);
     }
 }
 
@@ -326,6 +565,19 @@ impl<V: Serialize> Serialize for BTreeMap<String, V> {
                 .collect(),
         )
     }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.raw("{");
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.raw(",");
+            }
+            out.str(k);
+            out.raw(":");
+            v.write_json(out);
+        }
+        out.raw("}");
+    }
 }
 
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
@@ -343,6 +595,17 @@ macro_rules! impl_tuple {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$n.to_value()),+])
+            }
+
+            fn write_json(&self, out: &mut JsonWriter) {
+                out.raw("[");
+                $(
+                    if $n > 0 {
+                        out.raw(",");
+                    }
+                    self.$n.write_json(out);
+                )+
+                out.raw("]");
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -369,6 +632,10 @@ impl_tuple! {
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.seq(self);
     }
 }
 

@@ -10,9 +10,14 @@
 //! * unit enum variants               → `"Variant"`
 //! * tuple enum variants `V(T)` / `V(A, B)` → `{"Variant": …}` /
 //!   `{"Variant": […]}`
+//! * struct enum variants `V { a, b }` → `{"Variant": {"a": …, "b": …}}`
 //!
-//! Generics, struct enum variants, and `#[serde(...)]` attributes are not
-//! supported and fail loudly at expansion time.
+//! `Serialize` gets both methods: `to_value` builds the tree, and
+//! `write_json` writes the same JSON straight to a `serde::JsonWriter`,
+//! its punctuation and keys precomputed as string literals.
+//!
+//! Generics and `#[serde(...)]` attributes are not supported and fail
+//! loudly at expansion time.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -89,13 +94,130 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             format!("match self {{\n{arms}}}")
         }
     };
+    let write = write_json_body(&item);
     format!(
         "impl ::serde::Serialize for {} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n",
+         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+         fn write_json(&self, out: &mut ::serde::JsonWriter) {{\n{write}}}\n}}\n",
         item.name
     )
     .parse()
     .expect("generated Serialize impl parses")
+}
+
+/// The body of the generated `write_json`: the bytes `to_value` followed
+/// by a compact render would give, with no tree.
+fn write_json_body(item: &Item) -> String {
+    let mut w = Writes::default();
+    match &item.shape {
+        Shape::NamedStruct(fields) => {
+            let members: Vec<(&str, String)> = fields
+                .iter()
+                .map(|f| (f.as_str(), format!("&self.{f}")))
+                .collect();
+            w.object(&members);
+        }
+        Shape::TupleStruct(1) => w.value("&self.0"),
+        Shape::TupleStruct(n) => {
+            let items: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            w.array(&items);
+        }
+        Shape::Enum(variants) => {
+            w.code.push_str("match self {\n");
+            for v in variants {
+                let (n, name) = (&item.name, &v.name);
+                let mut arm = Writes::default();
+                let pattern = match &v.kind {
+                    VariantKind::Unit => {
+                        arm.raw(&format!("\"{name}\""));
+                        format!("{n}::{name}")
+                    }
+                    VariantKind::Tuple(k) => {
+                        let binds: Vec<String> = (0..*k).map(|i| format!("f{i}")).collect();
+                        arm.raw(&format!("{{\"{name}\":"));
+                        if *k == 1 {
+                            arm.value("f0");
+                        } else {
+                            arm.array(&binds);
+                        }
+                        arm.raw("}");
+                        format!("{n}::{name}({})", binds.join(", "))
+                    }
+                    VariantKind::Struct(fields) => {
+                        let members: Vec<(&str, String)> =
+                            fields.iter().map(|f| (f.as_str(), f.clone())).collect();
+                        arm.raw(&format!("{{\"{name}\":"));
+                        arm.object(&members);
+                        arm.raw("}");
+                        format!("{n}::{name} {{ {} }}", fields.join(", "))
+                    }
+                };
+                w.code
+                    .push_str(&format!("{pattern} => {{\n{}}}\n", arm.finish()));
+            }
+            w.code.push_str("}\n");
+        }
+    }
+    w.finish()
+}
+
+/// Generated `write_json` statements. Adjacent literal JSON is merged
+/// into one `out.raw(..)` call.
+#[derive(Default)]
+struct Writes {
+    code: String,
+    pending: String,
+}
+
+impl Writes {
+    fn raw(&mut self, json: &str) {
+        self.pending.push_str(json);
+    }
+
+    /// Write the value of the expression `expr` (a reference).
+    fn value(&mut self, expr: &str) {
+        self.flush();
+        self.code
+            .push_str(&format!("::serde::Serialize::write_json({expr}, out);\n"));
+    }
+
+    /// `{"key":value,…}`; keys are field names, which need no escaping.
+    fn object(&mut self, members: &[(&str, String)]) {
+        self.raw("{");
+        for (i, (key, expr)) in members.iter().enumerate() {
+            if i > 0 {
+                self.raw(",");
+            }
+            self.raw(&format!("\"{key}\":"));
+            self.value(expr);
+        }
+        self.raw("}");
+    }
+
+    fn array(&mut self, exprs: &[String]) {
+        self.raw("[");
+        for (i, expr) in exprs.iter().enumerate() {
+            if i > 0 {
+                self.raw(",");
+            }
+            self.value(expr);
+        }
+        self.raw("]");
+    }
+
+    fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            // `{:?}` spells the text as a Rust string literal.
+            self.code
+                .push_str(&format!("out.raw({:?});\n", self.pending));
+            self.pending.clear();
+        }
+    }
+
+    fn finish(mut self) -> String {
+        self.flush();
+        self.code
+    }
 }
 
 #[proc_macro_derive(Deserialize)]

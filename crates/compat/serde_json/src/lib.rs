@@ -1,5 +1,7 @@
-//! Offline stand-in for `serde_json`: JSON text to and from the `serde`
-//! stand-in's [`Value`] tree.
+//! Offline stand-in for `serde_json`. [`to_string`] writes compact JSON
+//! straight from a typed value through `serde`'s `Serialize::write_json`,
+//! with no tree in between; [`from_str`] parses text into the `serde`
+//! stand-in's [`Value`] tree and decodes that.
 //!
 //! One deliberate deviation from strict JSON: non-finite floats are
 //! written as the bare tokens `Infinity`, `-Infinity`, and `NaN` (strict
@@ -7,7 +9,7 @@
 //! infinite bounds), and the parser accepts those tokens back.
 
 pub use serde::Value;
-use serde::{DeError, Deserialize, Serialize};
+use serde::{DeError, Deserialize, JsonWriter, Serialize};
 
 /// Serialization/deserialization failure with a short message.
 #[derive(Debug, Clone)]
@@ -27,16 +29,19 @@ impl From<DeError> for Error {
     }
 }
 
+/// Compact JSON, written straight from the typed value by
+/// [`Serialize::write_json`].
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    let mut out = JsonWriter::new();
+    value.write_json(&mut out);
+    Ok(out.into_string())
 }
 
+/// Indented JSON (two spaces), walked over the value's tree.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    let mut out = JsonWriter::new();
+    write_pretty(&mut out, &value.to_value(), 0);
+    Ok(out.into_string())
 }
 
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
@@ -52,93 +57,45 @@ pub fn from_value<T: Deserialize>(value: Value) -> Result<T, Error> {
     T::from_value(&value).map_err(Error::from)
 }
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
+const INDENT: usize = 2;
+
+/// Scalars and empty containers render exactly as compact output does.
+fn write_pretty(out: &mut JsonWriter, v: &Value, depth: usize) {
+    let newline = |out: &mut JsonWriter, depth: usize| {
+        out.raw("\n");
+        for _ in 0..INDENT * depth {
+            out.raw(" ");
+        }
+    };
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => {
-            if f.is_nan() {
-                out.push_str("NaN");
-            } else if f.is_infinite() {
-                out.push_str(if *f > 0.0 { "Infinity" } else { "-Infinity" });
-            } else if *f == f.trunc() && f.abs() < 1e15 {
-                // Keep integral floats distinguishable from integers.
-                out.push_str(&format!("{f:.1}"));
-            } else {
-                out.push_str(&f.to_string());
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            write_seq(out, items.iter(), indent, depth, ('[', ']'), |o, it, d| {
-                write_value(o, it, indent, d)
-            })
-        }
-        Value::Object(pairs) => write_seq(
-            out,
-            pairs.iter(),
-            indent,
-            depth,
-            ('{', '}'),
-            |o, (k, it), d| {
-                write_string(o, k);
-                o.push(':');
-                if indent.is_some() {
-                    o.push(' ');
+        Value::Array(items) if !items.is_empty() => {
+            out.raw("[");
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.raw(",");
                 }
-                write_value(o, it, indent, d);
-            },
-        ),
-    }
-}
-
-fn write_seq<I: ExactSizeIterator>(
-    out: &mut String,
-    items: I,
-    indent: Option<usize>,
-    depth: usize,
-    (open, close): (char, char),
-    mut write_item: impl FnMut(&mut String, I::Item, usize),
-) {
-    out.push(open);
-    let n = items.len();
-    if n == 0 {
-        out.push(close);
-        return;
-    }
-    for (i, item) in items.enumerate() {
-        if let Some(w) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', w * (depth + 1)));
+                newline(out, depth + 1);
+                write_pretty(out, item, depth + 1);
+            }
+            newline(out, depth);
+            out.raw("]");
         }
-        write_item(out, item, depth + 1);
-        if i + 1 < n {
-            out.push(',');
+        Value::Object(pairs) if !pairs.is_empty() => {
+            out.raw("{");
+            for (i, (k, item)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.raw(",");
+                }
+                newline(out, depth + 1);
+                out.str(k);
+                out.raw(": ");
+                write_pretty(out, item, depth + 1);
+            }
+            newline(out, depth);
+            out.raw("}");
         }
+        leaf => leaf.write_json(out),
     }
-    if let Some(w) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', w * depth));
-    }
-    out.push(close);
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Deepest array/object nesting [`from_str`] accepts. The parser recurses

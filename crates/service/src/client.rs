@@ -548,7 +548,7 @@ fn classify(line: &str) -> Result<ServerFrame, ClientError> {
             .map(ServerFrame::Event)
             .map_err(|e| ClientError::Protocol(format!("bad event frame: {e}")));
     }
-    serde_json::from_value::<Response>(value)
+    Response::from_owned_value(value)
         .map(|resp| ServerFrame::Response(Box::new(resp)))
         .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")))
 }

@@ -13,7 +13,7 @@
 //! that silently changed between builds would defeat any future persistent
 //! cache.
 
-use serde::Serialize;
+use serde::{JsonWriter, Serialize};
 
 /// 128-bit content hash identifying one `(design, board, config)` instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -82,23 +82,19 @@ impl Fnv128 {
 /// Components are length-delimited before hashing so `("ab", "c")` and
 /// `("a", "bc")` cannot collide by concatenation.
 ///
-/// Floats are normalized before hashing (see [`normalize_floats`]):
-/// `-0.0` hashes like `0.0`, and every NaN bit pattern hashes alike, so
-/// semantically identical instances that differ only in such float
-/// spellings land on the same cache slot.
+/// Each component is rendered with the hashing writer
+/// ([`JsonWriter::hashing`]): `-0.0` hashes like `0.0`, and every NaN bit
+/// pattern hashes alike, so semantically identical instances that differ
+/// only in such float spellings land on the same cache slot.
 pub fn instance_key<D: Serialize, B: Serialize, C: Serialize>(
     design: &D,
     board: &B,
     config: &C,
 ) -> InstanceKey {
     let mut h = Fnv128::new();
-    for part in [
-        hashable_json(design),
-        hashable_json(board),
-        hashable_json(config),
-    ] {
-        h.update(&(part.len() as u64).to_le_bytes());
-        h.update(part.as_bytes());
+    let mut out = JsonWriter::hashing();
+    for part in [design as &dyn Serialize, board, config] {
+        hash_part(&mut h, &mut out, part);
     }
     InstanceKey(h.finish())
 }
@@ -123,17 +119,22 @@ pub fn family_key<D: Serialize, B: Serialize, C: Serialize>(
 ) -> InstanceKey {
     let mut h = Fnv128::new();
     h.update(b"gmm-family/v1");
-    let masked_board = {
-        let mut tree = board.to_value();
-        normalize_floats(&mut tree);
-        mask_numbers(&mut tree);
-        canonical_json(&tree)
-    };
-    for part in [hashable_json(design), masked_board, hashable_json(config)] {
-        h.update(&(part.len() as u64).to_le_bytes());
-        h.update(part.as_bytes());
+    let mut masked_board = board.to_value();
+    mask_numbers(&mut masked_board);
+    let mut out = JsonWriter::hashing();
+    for part in [design as &dyn Serialize, &masked_board, config] {
+        hash_part(&mut h, &mut out, part);
     }
     InstanceKey(h.finish())
+}
+
+/// Fold one length-delimited component into `h`, rendered through `out`
+/// (a hashing writer whose buffer each component reuses).
+fn hash_part(h: &mut Fnv128, out: &mut JsonWriter, part: &dyn Serialize) {
+    out.clear();
+    part.write_json(out);
+    h.update(&(out.as_str().len() as u64).to_le_bytes());
+    h.update(out.as_str().as_bytes());
 }
 
 /// Replace every numeric leaf (`Int`, `UInt`, `Float`) in the tree with
@@ -141,8 +142,7 @@ pub fn family_key<D: Serialize, B: Serialize, C: Serialize>(
 /// array lengths, string and bool leaves — is preserved, so two boards
 /// with the same structure but different constants render identically.
 /// Every float spelling is masked alike, so `-0.0`, `0.0`, and any NaN
-/// in a board constant cannot split a family (the normalization of
-/// [`normalize_floats`] is subsumed by the mask on these leaves).
+/// in a board constant cannot split a family.
 pub fn mask_numbers(v: &mut serde::Value) {
     match v {
         serde::Value::Int(_) | serde::Value::UInt(_) | serde::Value::Float(_) => {
@@ -154,45 +154,14 @@ pub fn mask_numbers(v: &mut serde::Value) {
     }
 }
 
-/// Render a value for *hashing*: the canonical JSON of its float-normalized
-/// tree. Only used for key derivation — cached payloads are rendered with
-/// [`canonical_json`] so their bytes are exactly what the solver produced.
-fn hashable_json<T: Serialize>(value: &T) -> String {
-    let mut tree = value.to_value();
-    normalize_floats(&mut tree);
-    canonical_json(&tree)
-}
-
-/// Collapse float spellings that are distinct as bits but identical (or
-/// interchangeable) as values, in place, across the whole tree:
-///
-/// * `-0.0` becomes `0.0` — IEEE 754 compares them equal, and a config
-///   that computed a zero through a negative path must not miss the
-///   cache slot of one that wrote `0.0` literally;
-/// * every NaN becomes the same positive quiet NaN, so a NaN leaking
-///   into a config from any source hashes identically regardless of
-///   sign or payload bits (the in-tree writer renders all of them as
-///   the single token `NaN` anyway; this pins the invariant at the
-///   hashing layer rather than leaning on the writer).
-pub fn normalize_floats(v: &mut serde::Value) {
-    match v {
-        serde::Value::Float(f) => {
-            if *f == 0.0 {
-                *f = 0.0; // collapses -0.0 onto +0.0
-            } else if f.is_nan() {
-                *f = f64::NAN;
-            }
-        }
-        serde::Value::Array(items) => items.iter_mut().for_each(normalize_floats),
-        serde::Value::Object(pairs) => pairs.iter_mut().for_each(|(_, v)| normalize_floats(v)),
-        _ => {}
-    }
-}
-
 /// The canonical (compact, declaration-ordered) JSON rendering hashing and
-/// byte-identity checks are defined over.
+/// byte-identity checks are defined over. Cached payloads are rendered
+/// here, with no float normalization, so their bytes are exactly what the
+/// solver produced.
 pub fn canonical_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string(value).expect("in-tree serde_json cannot fail to render")
+    let mut out = JsonWriter::new();
+    value.write_json(&mut out);
+    out.into_string()
 }
 
 #[cfg(test)]

@@ -95,11 +95,12 @@ pub mod server;
 pub use cache::{CacheEntry, CacheStats, SolutionCache};
 pub use client::{ClientError, MapClient, Proto, RemoteOutcome, Session};
 pub use events::{Frame, Outbox, Popped};
-pub use hash::{canonical_json, family_key, instance_key, normalize_floats, InstanceKey};
+pub use hash::{canonical_json, family_key, instance_key, InstanceKey};
 pub use persist::{PersistStats, PersistStore, WarmHint};
 pub use protocol::{
-    AttachSnapshot, JobEvent, ProgressFrame, ProtoVersions, Request, Response, ServiceStats,
-    StatsDelta, SubmitReceipt, SubmitSpec, CAPABILITIES, PROTO_VERSION,
+    frame_too_long, read_frame, AttachSnapshot, FrameRead, JobEvent, ProgressFrame, ProtoVersions,
+    Request, Response, ServiceStats, StatsDelta, SubmitReceipt, SubmitSpec, CAPABILITIES,
+    MAX_FRAME_BYTES, PROTO_VERSION,
 };
 pub use queue::{
     JobConfig, JobOutcome, JobQueue, JobSolution, JobState, JobTicket, LpBasis, LpPricing,

@@ -115,8 +115,18 @@
 //! Serialization is hand-written (rather than derived) because the derive
 //! stand-in encodes enums as `{"Variant": …}` envelopes; a wire protocol
 //! wants flat, verb-tagged objects that `nc`/scripting clients can speak.
+//! Each type lists a frame's members once, and both `Serialize` methods
+//! walk that list: `write_json` writes the line with no tree, and
+//! `to_value` builds the same object as a tree.
+//!
+//! ## Frame size
+//!
+//! A client line longer than [`MAX_FRAME_BYTES`] gets one error frame,
+//! and then the connection closes ([`read_frame`]).
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use std::io::{self, BufRead, Read};
+
+use serde::{DeError, Deserialize, JsonWriter, Serialize, Value};
 
 use gmm_api::Termination;
 use gmm_arch::Board;
@@ -138,6 +148,58 @@ pub const CAPABILITIES: &[&str] = &[
     "stats_events",
     "peek",
 ];
+
+/// Longest frame, line ending excluded, that the daemon and the router
+/// read from a client. A longer line gets one error frame, and then the
+/// connection closes: the rest of the line is never read, so a client
+/// cannot make either process buffer a line of unbounded length.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
+/// What [`read_frame`] found.
+#[derive(Debug, PartialEq)]
+pub enum FrameRead<'a> {
+    /// One line, its `\n` or `\r\n` stripped.
+    Line(&'a str),
+    /// More than [`MAX_FRAME_BYTES`] bytes with no newline among them.
+    TooLong,
+    Eof,
+}
+
+/// Read the next line of a JSON-lines stream into `buf`, which a
+/// connection reuses for every frame, buffering at most
+/// `MAX_FRAME_BYTES + 1` bytes of it. A line that is not UTF-8 is an
+/// `InvalidData` error, as with [`BufRead::read_line`].
+pub fn read_frame<'a, R: BufRead>(
+    reader: &mut R,
+    buf: &'a mut Vec<u8>,
+) -> io::Result<FrameRead<'a>> {
+    buf.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_FRAME_BYTES as u64 + 1)
+        .read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(FrameRead::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if n > MAX_FRAME_BYTES {
+        return Ok(FrameRead::TooLong);
+    }
+    std::str::from_utf8(buf)
+        .map(FrameRead::Line)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// The error frame an over-long line gets before its connection closes.
+pub fn frame_too_long() -> Response {
+    Response::Error {
+        message: format!("frame longer than {MAX_FRAME_BYTES} bytes; closing the connection"),
+    }
+}
 
 /// One instance headed into `submit` or `submit_batch`: the body of the
 /// v1 `submit` verb, reified so many of them can ride one frame.
@@ -587,12 +649,10 @@ impl From<gmm_api::ProgressEvent> for ProgressFrame {
 /// `solution` — canonical JSON text, or `None` for `null` — into it
 /// verbatim.
 ///
-/// This function owns the wire layout of the `result` frame: the daemon
-/// passes a cache entry's stored bytes, and every producer holding a
-/// solution tree renders it and comes through here via
-/// [`render_response`]. The bytes equal
-/// `serde_json::to_string(&Response::ResultReady { .. })` of the same
-/// answer with the payload parsed (pinned by a test).
+/// The daemon passes a cache entry's stored bytes here instead of
+/// parsing them. The bytes equal `serde_json::to_string(&Response::
+/// ResultReady { .. })` of the same answer with the payload parsed
+/// (pinned by a test).
 pub fn result_frame(
     job: u64,
     state: JobState,
@@ -601,91 +661,168 @@ pub fn result_frame(
     solution: Option<&str>,
     error: Option<&str>,
 ) -> String {
-    let mut line = String::with_capacity(160 + solution.map_or(0, str::len));
-    line.push_str(r#"{"ok":true,"verb":"result","job":"#);
-    line.push_str(&job.to_string());
-    line.push_str(r#","state":""#);
-    line.push_str(state.as_str());
-    line.push_str(r#"","cached":"#);
-    line.push_str(if cached { "true" } else { "false" });
-    line.push_str(r#","objective":"#);
-    push_json(&mut line, &objective);
-    line.push_str(r#","solution":"#);
-    line.push_str(solution.unwrap_or("null"));
-    line.push_str(r#","error":"#);
-    push_json(&mut line, &error);
-    line.push('}');
-    line
+    let mut line = JsonWriter::with_capacity(160 + solution.map_or(0, str::len));
+    line.raw(r#"{"ok":true,"verb":"result","job":"#);
+    line.u64(job);
+    line.raw(r#","state":""#);
+    line.raw(state.as_str());
+    line.raw(r#"","cached":"#);
+    line.bool(cached);
+    line.raw(r#","objective":"#);
+    objective.write_json(&mut line);
+    line.raw(r#","solution":"#);
+    line.raw(solution.unwrap_or("null"));
+    line.raw(r#","error":"#);
+    error.write_json(&mut line);
+    line.raw("}");
+    line.into_string()
 }
 
 /// Render a `peek` response line (no trailing newline), copying
 /// `solution` into it verbatim; the `peek` counterpart of
 /// [`result_frame`], with the same guarantee.
 pub fn peek_frame(hit: bool, objective: Option<f64>, solution: Option<&str>) -> String {
-    let mut line = String::with_capacity(96 + solution.map_or(0, str::len));
-    line.push_str(r#"{"ok":true,"verb":"peek","hit":"#);
-    line.push_str(if hit { "true" } else { "false" });
-    line.push_str(r#","objective":"#);
-    push_json(&mut line, &objective);
-    line.push_str(r#","solution":"#);
-    line.push_str(solution.unwrap_or("null"));
-    line.push('}');
-    line
+    let mut line = JsonWriter::with_capacity(96 + solution.map_or(0, str::len));
+    line.raw(r#"{"ok":true,"verb":"peek","hit":"#);
+    line.bool(hit);
+    line.raw(r#","objective":"#);
+    objective.write_json(&mut line);
+    line.raw(r#","solution":"#);
+    line.raw(solution.unwrap_or("null"));
+    line.raw("}");
+    line.into_string()
 }
 
-/// A response's wire line (no trailing newline). `result` and `peek`
-/// answers render their solution tree and go through [`result_frame`] and
-/// [`peek_frame`]; every other response renders through `Serialize`.
+/// A response's wire line (no trailing newline), written straight from
+/// the typed response: a `result` or `peek` answer's solution tree is
+/// rendered in place, not cloned.
 pub fn render_response(response: &Response) -> String {
-    match response {
-        Response::ResultReady {
-            job,
-            state,
-            cached,
-            objective,
-            solution,
-            error,
-        } => {
-            let tree = solution.as_ref().map(render);
-            result_frame(
-                *job,
-                *state,
-                *cached,
-                *objective,
-                tree.as_deref(),
-                error.as_deref(),
-            )
+    let mut line = JsonWriter::new();
+    response.write_json(&mut line);
+    line.into_string()
+}
+
+/// One wire object stated once, in member order: both `Serialize`
+/// methods walk the same list, so the tree and the streamed text cannot
+/// drift apart. `rest`, when set, splices the members of an object-valued
+/// payload in after the listed ones (how the `stats` verb and event
+/// flatten their counters).
+#[derive(Default)]
+struct Members<'a> {
+    list: Vec<(&'static str, Member<'a>)>,
+    rest: Option<&'a dyn Serialize>,
+}
+
+enum Member<'a> {
+    Field(&'a dyn Serialize),
+    /// A fixed token such as a verb or a termination name.
+    Token(&'static str),
+}
+
+impl<'a> Members<'a> {
+    fn field(&mut self, name: &'static str, value: &'a dyn Serialize) -> &mut Self {
+        self.list.push((name, Member::Field(value)));
+        self
+    }
+
+    fn token(&mut self, name: &'static str, token: &'static str) -> &mut Self {
+        self.list.push((name, Member::Token(token)));
+        self
+    }
+
+    /// The shared `design`/`board`/`config`/`deadline_ms` body of
+    /// `submit` and each `submit_batch` entry.
+    fn submit_body(&mut self, spec: SubmitBody<'a>) -> &mut Self {
+        self.field("design", spec.design)
+            .field("board", spec.board)
+            .field("config", spec.config);
+        // Omitted (not null) when absent, so old servers and scripted
+        // clients are byte-compatible.
+        if let Some(ms) = spec.deadline_ms {
+            self.field("deadline_ms", ms);
         }
-        Response::Peeked {
-            hit,
-            objective,
-            solution,
-        } => {
-            let tree = solution.as_ref().map(render);
-            peek_frame(*hit, *objective, tree.as_deref())
+        self
+    }
+
+    /// A terminal state's termination token; omitted (not null) for
+    /// non-terminal states.
+    fn termination(&mut self, termination: Option<Termination>) -> &mut Self {
+        if let Some(t) = termination {
+            self.token("termination", t.as_str());
         }
-        other => render(other),
+        self
     }
 }
 
-// Rendering cannot fail with the in-tree serde_json; were it ever to,
-// a response degrades to a structured error frame, and a field of one
-// to `null`, rather than panicking on the request path.
-fn render<T: Serialize + ?Sized>(value: &T) -> String {
-    serde_json::to_string(value).unwrap_or_else(|_| {
-        r#"{"ok":false,"error":"internal: response failed to render"}"#.to_string()
-    })
-}
+impl Serialize for Members<'_> {
+    fn to_value(&self) -> Value {
+        let mut pairs: Vec<(String, Value)> = self
+            .list
+            .iter()
+            .map(|(name, member)| {
+                let value = match member {
+                    Member::Field(v) => v.to_value(),
+                    Member::Token(t) => Value::Str(t.to_string()),
+                };
+                (name.to_string(), value)
+            })
+            .collect();
+        if let Some(Value::Object(rest)) = self.rest.map(Serialize::to_value) {
+            pairs.extend(rest);
+        }
+        Value::Object(pairs)
+    }
 
-fn push_json<T: Serialize + ?Sized>(line: &mut String, value: &T) {
-    match serde_json::to_string(value) {
-        Ok(text) => line.push_str(&text),
-        Err(_) => line.push_str("null"),
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.raw("{");
+        for (i, (name, member)) in self.list.iter().enumerate() {
+            if i > 0 {
+                out.raw(",");
+            }
+            out.str(name);
+            out.raw(":");
+            match member {
+                Member::Field(v) => v.write_json(out),
+                Member::Token(t) => out.str(t),
+            }
+        }
+        if let Some(rest) = self.rest {
+            out.members_of(rest, self.list.len());
+        }
+        out.raw("}");
     }
 }
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// `Serialize` for a type with a `members()` list.
+macro_rules! serialize_members {
+    ($($t:ty),*) => {$(
+        impl Serialize for $t {
+            fn to_value(&self) -> Value {
+                self.members().to_value()
+            }
+
+            fn write_json(&self, out: &mut JsonWriter) {
+                self.members().write_json(out);
+            }
+        }
+    )*};
+}
+
+serialize_members!(
+    SubmitSpec,
+    AttachSnapshot,
+    SubmitReceipt,
+    Request,
+    Response,
+    JobEvent
+);
+
+/// Borrowed `submit` body fields.
+struct SubmitBody<'a> {
+    design: &'a Design,
+    board: &'a Board,
+    config: &'a JobConfig,
+    deadline_ms: &'a Option<u64>,
 }
 
 fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
@@ -699,22 +836,12 @@ fn opt_field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, DeError
     }
 }
 
-/// The shared `design`/`board`/`config`/`deadline_ms` body of `submit`
-/// and each `submit_batch` entry.
-fn submit_body(
-    pairs: &mut Vec<(&str, Value)>,
-    design: &Design,
-    board: &Board,
-    config: &JobConfig,
-    deadline_ms: Option<u64>,
-) {
-    pairs.push(("design", design.to_value()));
-    pairs.push(("board", board.to_value()));
-    pairs.push(("config", config.to_value()));
-    // Omitted (not null) when absent, so old servers and scripted
-    // clients are byte-compatible.
-    if let Some(ms) = deadline_ms {
-        pairs.push(("deadline_ms", Value::UInt(ms)));
+fn termination_field(v: &Value) -> Result<Option<Termination>, DeError> {
+    match opt_field::<String>(v, "termination")? {
+        None => Ok(None),
+        Some(token) => Termination::from_name(&token)
+            .map(Some)
+            .ok_or_else(|| DeError::new(format!("unknown termination token `{token}`"))),
     }
 }
 
@@ -728,17 +855,20 @@ fn submit_body_from_value(v: &Value) -> Result<SubmitSpec, DeError> {
     })
 }
 
-impl Serialize for SubmitSpec {
-    fn to_value(&self) -> Value {
-        let mut pairs = Vec::new();
-        submit_body(
-            &mut pairs,
-            &self.design,
-            &self.board,
-            &self.config,
-            self.deadline_ms,
-        );
-        obj(pairs)
+impl SubmitSpec {
+    fn body(&self) -> SubmitBody<'_> {
+        SubmitBody {
+            design: &self.design,
+            board: &self.board,
+            config: &self.config,
+            deadline_ms: &self.deadline_ms,
+        }
+    }
+
+    fn members(&self) -> Members<'_> {
+        let mut m = Members::default();
+        m.submit_body(self.body());
+        m
     }
 }
 
@@ -748,46 +878,34 @@ impl Deserialize for SubmitSpec {
     }
 }
 
-impl Serialize for AttachSnapshot {
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("job", Value::UInt(self.job)),
-            ("state", self.state.to_value()),
-        ];
-        // Omitted (not null) for non-terminal snapshots, matching the
-        // state event frame's shape.
-        if let Some(t) = self.termination {
-            pairs.push(("termination", Value::Str(t.as_str().into())));
-        }
-        obj(pairs)
+impl AttachSnapshot {
+    fn members(&self) -> Members<'_> {
+        let mut m = Members::default();
+        m.field("job", &self.job)
+            .field("state", &self.state)
+            .termination(self.termination);
+        m
     }
 }
 
 impl Deserialize for AttachSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let termination = match opt_field::<String>(v, "termination")? {
-            None => None,
-            Some(token) => Some(
-                Termination::from_name(&token)
-                    .ok_or_else(|| DeError::new(format!("unknown termination token `{token}`")))?,
-            ),
-        };
         Ok(AttachSnapshot {
             job: field(v, "job")?,
             state: field(v, "state")?,
-            termination,
+            termination: termination_field(v)?,
         })
     }
 }
 
-impl Serialize for SubmitReceipt {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("job", Value::UInt(self.job)),
-            ("state", self.state.to_value()),
-            ("cached", Value::Bool(self.cached)),
-            ("key", Value::Str(self.key.clone())),
-        ])
+impl SubmitReceipt {
+    fn members(&self) -> Members<'_> {
+        let mut m = Members::default();
+        m.field("job", &self.job)
+            .field("state", &self.state)
+            .field("cached", &self.cached)
+            .field("key", &self.key);
+        m
     }
 }
 
@@ -802,104 +920,87 @@ impl Deserialize for SubmitReceipt {
     }
 }
 
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
+impl Request {
+    fn members(&self) -> Members<'_> {
+        let mut m = Members::default();
         match self {
-            Request::Hello { proto } => obj(vec![
-                ("verb", Value::Str("hello".into())),
-                ("proto", Value::UInt(*proto)),
-            ]),
+            Request::Hello { proto } => {
+                m.token("verb", "hello").field("proto", proto);
+            }
             Request::Submit {
                 design,
                 board,
                 config,
                 deadline_ms,
             } => {
-                let mut pairs = vec![("verb", Value::Str("submit".into()))];
-                submit_body(&mut pairs, design, board, config, *deadline_ms);
-                obj(pairs)
+                m.token("verb", "submit").submit_body(SubmitBody {
+                    design,
+                    board,
+                    config,
+                    deadline_ms,
+                });
             }
             Request::SubmitBatch {
                 jobs,
                 watch,
                 progress,
             } => {
-                let mut pairs = vec![
-                    ("verb", Value::Str("submit_batch".into())),
-                    (
-                        "jobs",
-                        Value::Array(jobs.iter().map(Serialize::to_value).collect()),
-                    ),
-                ];
+                m.token("verb", "submit_batch").field("jobs", jobs);
                 // Both flags are omitted at their defaults (watch=false,
                 // progress=true), keeping the minimal frame minimal.
                 if *watch {
-                    pairs.push(("watch", Value::Bool(true)));
+                    m.field("watch", &true);
                 }
                 if !progress {
-                    pairs.push(("progress", Value::Bool(false)));
+                    m.field("progress", &false);
                 }
-                obj(pairs)
             }
             Request::Watch {
                 jobs,
                 progress,
                 stats,
             } => {
-                let mut pairs = vec![
-                    ("verb", Value::Str("watch".into())),
-                    (
-                        "jobs",
-                        Value::Array(jobs.iter().map(|j| Value::UInt(*j)).collect()),
-                    ),
-                ];
+                m.token("verb", "watch").field("jobs", jobs);
                 if !progress {
-                    pairs.push(("progress", Value::Bool(false)));
+                    m.field("progress", &false);
                 }
                 if *stats {
-                    pairs.push(("stats", Value::Bool(true)));
+                    m.field("stats", &true);
                 }
-                obj(pairs)
             }
             Request::Attach {
                 jobs,
                 progress,
                 stats,
             } => {
-                let mut pairs = vec![
-                    ("verb", Value::Str("attach".into())),
-                    (
-                        "jobs",
-                        Value::Array(jobs.iter().map(|j| Value::UInt(*j)).collect()),
-                    ),
-                ];
+                m.token("verb", "attach").field("jobs", jobs);
                 if !progress {
-                    pairs.push(("progress", Value::Bool(false)));
+                    m.field("progress", &false);
                 }
                 if *stats {
-                    pairs.push(("stats", Value::Bool(true)));
+                    m.field("stats", &true);
                 }
-                obj(pairs)
             }
-            Request::Peek { key } => obj(vec![
-                ("verb", Value::Str("peek".into())),
-                ("key", Value::Str(key.clone())),
-            ]),
-            Request::Poll { job } => obj(vec![
-                ("verb", Value::Str("poll".into())),
-                ("job", Value::UInt(*job)),
-            ]),
-            Request::Result { job } => obj(vec![
-                ("verb", Value::Str("result".into())),
-                ("job", Value::UInt(*job)),
-            ]),
-            Request::Cancel { job } => obj(vec![
-                ("verb", Value::Str("cancel".into())),
-                ("job", Value::UInt(*job)),
-            ]),
-            Request::Stats => obj(vec![("verb", Value::Str("stats".into()))]),
-            Request::Shutdown => obj(vec![("verb", Value::Str("shutdown".into()))]),
+            Request::Peek { key } => {
+                m.token("verb", "peek").field("key", key);
+            }
+            Request::Poll { job } => {
+                m.token("verb", "poll").field("job", job);
+            }
+            Request::Result { job } => {
+                m.token("verb", "result").field("job", job);
+            }
+            Request::Cancel { job } => {
+                m.token("verb", "cancel").field("job", job);
+            }
+            Request::Stats => {
+                m.token("verb", "stats");
+            }
+            Request::Shutdown => {
+                m.token("verb", "shutdown");
+            }
         }
+        m
     }
 }
 
@@ -953,99 +1054,81 @@ impl Deserialize for Request {
     }
 }
 
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
+impl Response {
+    fn members(&self) -> Members<'_> {
+        let mut m = Members::default();
         match self {
             Response::Welcome {
                 proto,
                 capabilities,
-            } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("verb", Value::Str("hello".into())),
-                ("proto", Value::UInt(*proto)),
-                (
-                    "capabilities",
-                    Value::Array(capabilities.iter().map(|c| Value::Str(c.clone())).collect()),
-                ),
-            ]),
-            Response::BatchSubmitted { jobs } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("verb", Value::Str("submit_batch".into())),
-                (
-                    "jobs",
-                    Value::Array(jobs.iter().map(Serialize::to_value).collect()),
-                ),
-            ]),
-            Response::Watching { watching, unknown } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("verb", Value::Str("watch".into())),
-                (
-                    "watching",
-                    Value::Array(watching.iter().map(|j| Value::UInt(*j)).collect()),
-                ),
-                (
-                    "unknown",
-                    Value::Array(unknown.iter().map(|j| Value::UInt(*j)).collect()),
-                ),
-            ]),
-            Response::Attached { attached, unknown } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("verb", Value::Str("attach".into())),
-                (
-                    "attached",
-                    Value::Array(attached.iter().map(Serialize::to_value).collect()),
-                ),
-                (
-                    "unknown",
-                    Value::Array(unknown.iter().map(|j| Value::UInt(*j)).collect()),
-                ),
-            ]),
+            } => {
+                m.field("ok", &true)
+                    .token("verb", "hello")
+                    .field("proto", proto)
+                    .field("capabilities", capabilities);
+            }
+            Response::BatchSubmitted { jobs } => {
+                m.field("ok", &true)
+                    .token("verb", "submit_batch")
+                    .field("jobs", jobs);
+            }
+            Response::Watching { watching, unknown } => {
+                m.field("ok", &true)
+                    .token("verb", "watch")
+                    .field("watching", watching)
+                    .field("unknown", unknown);
+            }
+            Response::Attached { attached, unknown } => {
+                m.field("ok", &true)
+                    .token("verb", "attach")
+                    .field("attached", attached)
+                    .field("unknown", unknown);
+            }
             Response::Overloaded {
                 message,
                 inflight,
                 max_inflight,
                 retry_after_ms,
-            } => obj(vec![
-                ("ok", Value::Bool(false)),
-                ("kind", Value::Str("overloaded".into())),
-                ("error", Value::Str(message.clone())),
-                ("inflight", Value::UInt(*inflight)),
-                ("max_inflight", Value::UInt(*max_inflight)),
-                ("retry_after_ms", Value::UInt(*retry_after_ms)),
-            ]),
+            } => {
+                m.field("ok", &false)
+                    .token("kind", "overloaded")
+                    .field("error", message)
+                    .field("inflight", inflight)
+                    .field("max_inflight", max_inflight)
+                    .field("retry_after_ms", retry_after_ms);
+            }
             Response::Submitted {
                 job,
                 state,
                 cached,
                 key,
-            } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("verb", Value::Str("submit".into())),
-                ("job", Value::UInt(*job)),
-                ("state", state.to_value()),
-                ("cached", Value::Bool(*cached)),
-                ("key", Value::Str(key.clone())),
-            ]),
-            // The trees of the `peek` and `result` frames; the wire lines
-            // come from `peek_frame` and `result_frame`, which a test
-            // pins to these trees' rendering.
+            } => {
+                m.field("ok", &true)
+                    .token("verb", "submit")
+                    .field("job", job)
+                    .field("state", state)
+                    .field("cached", cached)
+                    .field("key", key);
+            }
+            // The daemon writes cached payloads through `peek_frame` and
+            // `result_frame`, which a test pins to these members.
             Response::Peeked {
                 hit,
                 objective,
                 solution,
-            } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("verb", Value::Str("peek".into())),
-                ("hit", Value::Bool(*hit)),
-                ("objective", objective.to_value()),
-                ("solution", solution.clone().unwrap_or(Value::Null)),
-            ]),
-            Response::PollState { job, state } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("verb", Value::Str("poll".into())),
-                ("job", Value::UInt(*job)),
-                ("state", state.to_value()),
-            ]),
+            } => {
+                m.field("ok", &true)
+                    .token("verb", "peek")
+                    .field("hit", hit)
+                    .field("objective", objective)
+                    .field("solution", solution);
+            }
+            Response::PollState { job, state } => {
+                m.field("ok", &true)
+                    .token("verb", "poll")
+                    .field("job", job)
+                    .field("state", state);
+            }
             Response::ResultReady {
                 job,
                 state,
@@ -1053,46 +1136,53 @@ impl Serialize for Response {
                 objective,
                 solution,
                 error,
-            } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("verb", Value::Str("result".into())),
-                ("job", Value::UInt(*job)),
-                ("state", state.to_value()),
-                ("cached", Value::Bool(*cached)),
-                ("objective", objective.to_value()),
-                ("solution", solution.clone().unwrap_or(Value::Null)),
-                ("error", error.to_value()),
-            ]),
-            Response::CancelState { job, state } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("verb", Value::Str("cancel".into())),
-                ("job", Value::UInt(*job)),
-                ("state", state.to_value()),
-            ]),
-            Response::Stats(stats) => {
-                let mut pairs = vec![
-                    ("ok".to_string(), Value::Bool(true)),
-                    ("verb".to_string(), Value::Str("stats".into())),
-                ];
-                if let Value::Object(fields) = stats.to_value() {
-                    pairs.extend(fields);
-                }
-                Value::Object(pairs)
+            } => {
+                m.field("ok", &true)
+                    .token("verb", "result")
+                    .field("job", job)
+                    .field("state", state)
+                    .field("cached", cached)
+                    .field("objective", objective)
+                    .field("solution", solution)
+                    .field("error", error);
             }
-            Response::Error { message } => obj(vec![
-                ("ok", Value::Bool(false)),
-                ("error", Value::Str(message.clone())),
-            ]),
-            Response::Bye => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("verb", Value::Str("shutdown".into())),
-            ]),
+            Response::CancelState { job, state } => {
+                m.field("ok", &true)
+                    .token("verb", "cancel")
+                    .field("job", job)
+                    .field("state", state);
+            }
+            Response::Stats(stats) => {
+                m.field("ok", &true).token("verb", "stats");
+                m.rest = Some(stats);
+            }
+            Response::Error { message } => {
+                m.field("ok", &false).field("error", message);
+            }
+            Response::Bye => {
+                m.field("ok", &true).token("verb", "shutdown");
+            }
         }
+        m
     }
-}
 
-impl Deserialize for Response {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
+    /// Decode a parsed frame, moving a `result` or `peek` answer's
+    /// `solution` subtree out of `v` instead of cloning it (what
+    /// [`Deserialize::from_value`] must do, given only a borrow).
+    pub fn from_owned_value(mut v: Value) -> Result<Response, DeError> {
+        let solution = match &mut v {
+            Value::Object(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == "solution")
+                .map(|(_, tree)| std::mem::replace(tree, Value::Null)),
+            _ => None,
+        };
+        Response::decode(&v, solution)
+    }
+
+    /// Decode `v`, whose `solution` member, if any, is `solution`.
+    fn decode(v: &Value, solution: Option<Value>) -> Result<Response, DeError> {
+        let solution = solution.filter(|tree| !matches!(tree, Value::Null));
         let ok: bool = field(v, "ok")?;
         if !ok {
             // `kind` discriminates structured rejections from plain
@@ -1135,10 +1225,7 @@ impl Deserialize for Response {
             "peek" => Ok(Response::Peeked {
                 hit: field(v, "hit")?,
                 objective: opt_field(v, "objective")?,
-                solution: match v.get("solution") {
-                    None | Some(Value::Null) => None,
-                    Some(tree) => Some(tree.clone()),
-                },
+                solution,
             }),
             "poll" => Ok(Response::PollState {
                 job: field(v, "job")?,
@@ -1149,10 +1236,7 @@ impl Deserialize for Response {
                 state: field(v, "state")?,
                 cached: field(v, "cached")?,
                 objective: opt_field(v, "objective")?,
-                solution: match v.get("solution") {
-                    None | Some(Value::Null) => None,
-                    Some(tree) => Some(tree.clone()),
-                },
+                solution,
                 error: opt_field(v, "error")?,
             }),
             "cancel" => Ok(Response::CancelState {
@@ -1166,52 +1250,46 @@ impl Deserialize for Response {
     }
 }
 
-impl Serialize for JobEvent {
-    fn to_value(&self) -> Value {
+impl Deserialize for Response {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Response::decode(v, v.get("solution").cloned())
+    }
+}
+
+impl JobEvent {
+    fn members(&self) -> Members<'_> {
+        let mut m = Members::default();
         match self {
             JobEvent::State {
                 job,
                 state,
                 termination,
             } => {
-                let mut pairs = vec![
-                    ("event", Value::Str("state".into())),
-                    ("job", Value::UInt(*job)),
-                    ("state", state.to_value()),
-                ];
-                // Omitted (not null) for non-terminal frames.
-                if let Some(t) = termination {
-                    pairs.push(("termination", Value::Str(t.as_str().into())));
-                }
-                obj(pairs)
+                m.token("event", "state")
+                    .field("job", job)
+                    .field("state", state)
+                    .termination(*termination);
             }
             JobEvent::Progress { job, frame } => {
-                let mut pairs = vec![
-                    ("event", Value::Str("progress".into())),
-                    ("job", Value::UInt(*job)),
-                ];
+                m.token("event", "progress").field("job", job);
                 match frame {
                     ProgressFrame::Phase { phase } => {
-                        pairs.push(("phase", Value::Str(phase.clone())));
+                        m.field("phase", phase);
                     }
                     ProgressFrame::Incumbent { objective, nodes } => {
-                        pairs.push(("incumbent", Value::Float(*objective)));
-                        pairs.push(("nodes", Value::UInt(*nodes)));
+                        m.field("incumbent", objective).field("nodes", nodes);
                     }
                     ProgressFrame::Nodes { nodes } => {
-                        pairs.push(("nodes", Value::UInt(*nodes)));
+                        m.field("nodes", nodes);
                     }
                 }
-                obj(pairs)
             }
             JobEvent::Stats(delta) => {
-                let mut pairs = vec![("event".to_string(), Value::Str("stats".into()))];
-                if let Value::Object(fields) = delta.to_value() {
-                    pairs.extend(fields);
-                }
-                Value::Object(pairs)
+                m.token("event", "stats");
+                m.rest = Some(delta);
             }
         }
+        m
     }
 }
 
@@ -1223,19 +1301,11 @@ impl Deserialize for JobEvent {
         }
         let job: u64 = field(v, "job")?;
         match event.as_str() {
-            "state" => {
-                let termination = match opt_field::<String>(v, "termination")? {
-                    None => None,
-                    Some(token) => Some(Termination::from_name(&token).ok_or_else(|| {
-                        DeError::new(format!("unknown termination token `{token}`"))
-                    })?),
-                };
-                Ok(JobEvent::State {
-                    job,
-                    state: field(v, "state")?,
-                    termination,
-                })
-            }
+            "state" => Ok(JobEvent::State {
+                job,
+                state: field(v, "state")?,
+                termination: termination_field(v)?,
+            }),
             "progress" => {
                 let frame = if let Some(phase) = opt_field::<String>(v, "phase")? {
                     ProgressFrame::Phase { phase }
@@ -1261,13 +1331,26 @@ mod tests {
     use super::*;
     use gmm_design::DesignBuilder;
 
+    /// `write_json` must write exactly what rendering `to_value()` with
+    /// the compact tree writer gives; the tree renderer is the reference.
+    fn assert_streams_like_tree<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut streamed = JsonWriter::new();
+        value.write_json(&mut streamed);
+        let mut tree = JsonWriter::new();
+        value.to_value().write_json(&mut tree);
+        assert_eq!(streamed.as_str(), tree.as_str());
+        streamed.into_string()
+    }
+
     fn round_trip_request(req: Request) {
+        assert_streams_like_tree(&req);
         let text = serde_json::to_string(&req).unwrap();
         let back: Request = serde_json::from_str(&text).unwrap();
         assert_eq!(req, back, "request line: {text}");
     }
 
     fn round_trip_response(resp: Response) {
+        assert_streams_like_tree(&resp);
         let text = serde_json::to_string(&resp).unwrap();
         let back: Response = serde_json::from_str(&text).unwrap();
         assert_eq!(resp, back, "response line: {text}");
@@ -1658,6 +1741,7 @@ mod tests {
     }
 
     fn round_trip_event(ev: JobEvent) -> String {
+        assert_streams_like_tree(&ev);
         let text = serde_json::to_string(&ev).unwrap();
         let back: JobEvent = serde_json::from_str(&text).unwrap();
         assert_eq!(ev, back, "event line: {text}");
@@ -1923,6 +2007,139 @@ mod tests {
                 assert_eq!(render_response(&resp), expected);
             }
         }
+    }
+
+    /// Every shape the derive supports, for the writer parity test.
+    #[derive(Serialize)]
+    enum Shapes {
+        Unit,
+        One(f64),
+        Two(i64, String),
+        Named { a: Option<u32>, b: Vec<u8> },
+        EmptyNamed {},
+    }
+
+    #[derive(Serialize)]
+    struct Newtype(f64);
+
+    #[derive(Serialize)]
+    struct Pair(u64, Option<String>);
+
+    #[derive(Serialize)]
+    struct Empty {}
+
+    #[test]
+    fn write_json_matches_the_tree_render() {
+        // Wire and cached types, from the fixtures above.
+        let (design, board) = tiny_instance();
+        let (t3_design, t3_board, _) = gmm_workloads::table3_instance(2);
+        assert_streams_like_tree(&design);
+        assert_streams_like_tree(&board);
+        assert_streams_like_tree(&t3_design);
+        assert_streams_like_tree(&t3_board);
+        for mode in [
+            gmm_api::SolveMode::Ilp,
+            gmm_api::SolveMode::Heuristic,
+            gmm_api::SolveMode::Portfolio,
+        ] {
+            assert_streams_like_tree(&JobConfig {
+                solve_mode: mode,
+                overlap_aware: true,
+                ..JobConfig::default()
+            });
+        }
+        for payload in payload_fixtures() {
+            let tree: Value = serde_json::from_str(&payload).unwrap();
+            assert_eq!(assert_streams_like_tree(&tree), payload);
+            if let Ok(solution) = serde_json::from_str::<crate::JobSolution>(&payload) {
+                assert_eq!(assert_streams_like_tree(&solution), payload);
+            }
+        }
+        assert_streams_like_tree(&ServiceStats::default());
+        assert_streams_like_tree(&Response::Stats(ServiceStats::default()));
+        assert_streams_like_tree(&JobEvent::Stats(StatsDelta::default()));
+        assert_streams_like_tree(&Request::SubmitBatch {
+            jobs: vec![],
+            watch: false,
+            progress: true,
+        });
+
+        // Edge values.
+        let floats = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            999_999_999_999_999.0,
+            -999_999_999_999_999.0,
+            1e15,
+            -1e15,
+            1e15 + 2.0,
+            2.0f64.powi(60),
+            0.1 + 0.2,
+            -2.5e-9,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        for f in floats {
+            assert_streams_like_tree(&f);
+            assert_streams_like_tree(&(f as f32));
+        }
+        assert_streams_like_tree(&floats.to_vec());
+        for n in [0, 1, 9, 10, u64::MAX] {
+            assert_streams_like_tree(&n);
+        }
+        for n in [0, -1, -10, i64::MIN, i64::MAX] {
+            assert_streams_like_tree(&n);
+        }
+        assert_streams_like_tree(&(u8::MAX, i8::MIN, usize::MAX, isize::MIN));
+
+        // Strings that need escaping, and ones that do not.
+        for text in [
+            "",
+            "plain",
+            "quote \" slash \\ nl \n cr \r tab \t",
+            "ctl \u{1} \u{1f} del \u{7f}",
+            "non-ASCII: é ∑ 🦀",
+        ] {
+            assert_streams_like_tree(text);
+            assert_streams_like_tree(&text.to_string());
+            assert_streams_like_tree(&Value::Str(text.into()));
+        }
+        assert_streams_like_tree(&'"');
+        assert_streams_like_tree(&'é');
+
+        // Empty containers, None, maps, and every derived shape.
+        assert_streams_like_tree(&Vec::<u8>::new());
+        assert_streams_like_tree(&None::<u8>);
+        assert_streams_like_tree(&Some(Some(3u8)));
+        assert_streams_like_tree(&[[1u8; 2]; 0]);
+        assert_streams_like_tree(&std::collections::BTreeSet::from([3u8, 1]));
+        assert_streams_like_tree(&std::collections::BTreeMap::from([
+            ("b \"key\"".to_string(), -0.0),
+            ("a".to_string(), 1.5),
+        ]));
+        assert_streams_like_tree(&std::collections::BTreeMap::<String, u8>::new());
+        assert_streams_like_tree(&Value::Object(vec![]));
+        assert_streams_like_tree(&Value::Array(vec![]));
+        assert_streams_like_tree(&vec![
+            Shapes::Unit,
+            Shapes::One(-0.0),
+            Shapes::Two(i64::MIN, "t\"wo".into()),
+            Shapes::Named { a: None, b: vec![] },
+            Shapes::Named {
+                a: Some(7),
+                b: vec![1, 2],
+            },
+            Shapes::EmptyNamed {},
+        ]);
+        assert_streams_like_tree(&Newtype(f64::NAN));
+        assert_streams_like_tree(&Pair(u64::MAX, None));
+        assert_streams_like_tree(&Pair(0, Some(String::new())));
+        assert_streams_like_tree(&Empty {});
     }
 
     #[test]

@@ -277,6 +277,10 @@ impl serde::Serialize for JobState {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.as_str().to_string())
     }
+
+    fn write_json(&self, out: &mut serde::JsonWriter) {
+        out.str(self.as_str());
+    }
 }
 
 impl serde::Deserialize for JobState {

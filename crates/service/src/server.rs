@@ -20,7 +20,7 @@
 //! client holds one socket for its whole run); the solve parallelism
 //! lives in the queue workers, not in the connection handlers.
 
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,8 +28,9 @@ use std::thread::JoinHandle;
 
 use crate::events::writer_loop;
 use crate::protocol::{
-    peek_frame, render_response, result_frame, AttachSnapshot, ProtoVersions, Request, Response,
-    ServiceStats, SubmitReceipt, CAPABILITIES, PROTO_VERSION,
+    frame_too_long, peek_frame, read_frame, render_response, result_frame, AttachSnapshot,
+    FrameRead, ProtoVersions, Request, Response, ServiceStats, SubmitReceipt, CAPABILITIES,
+    PROTO_VERSION,
 };
 use crate::queue::{JobQueue, Overloaded};
 
@@ -169,14 +170,22 @@ fn serve_connection(
     // Lazily created on the first `watch`/`attach`.
     let mut subscription: Option<u64> = None;
 
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
     let result = (|| -> std::io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
+        loop {
+            let line = match read_frame(&mut reader, &mut buf)? {
+                FrameRead::Line(line) => line,
+                FrameRead::TooLong => {
+                    outbox.push_response(render_response(&frame_too_long()));
+                    break;
+                }
+                FrameRead::Eof => break,
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            let request = serde_json::from_str::<Request>(&line);
+            let request = serde_json::from_str::<Request>(line);
             let shutting_down = matches!(request, Ok(Request::Shutdown));
             let text = match request {
                 // A connection that outlives another client's shutdown verb

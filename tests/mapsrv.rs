@@ -233,6 +233,40 @@ fn mapsrv_survives_malformed_and_unknown_requests() {
 }
 
 #[test]
+fn mapsrv_closes_an_over_long_line_after_one_error_frame() {
+    let (server, mut client) = start_server();
+
+    // One byte past the cap and no newline: the daemon must not buffer
+    // the rest of the line. It answers one error frame and closes.
+    let stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let mut writer = stream.try_clone().unwrap();
+    // A daemon that kept reading would never answer; fail instead of hanging.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    writer
+        .write_all(&vec![b' '; gmm_service::MAX_FRAME_BYTES + 1])
+        .unwrap();
+    writer.flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"ok\":false") && line.contains("frame longer than"),
+        "expected a frame-size error, got {line:?}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "got {line:?}");
+
+    // A fresh connection is served as before.
+    let stats = client.stats().expect("stats on a fresh connection");
+    assert_eq!(stats.jobs_submitted, 0);
+
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
 fn mapsrv_answers_hostile_nesting_with_an_error_and_keeps_serving() {
     let (server, mut client) = start_server();
 
