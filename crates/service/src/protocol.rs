@@ -732,13 +732,19 @@ impl<'a> Members<'a> {
 
     /// The shared `design`/`board`/`config`/`deadline_ms` body of
     /// `submit` and each `submit_batch` entry.
-    fn submit_body(&mut self, spec: SubmitBody<'a>) -> &mut Self {
-        self.field("design", spec.design)
-            .field("board", spec.board)
-            .field("config", spec.config);
+    fn submit_body(
+        &mut self,
+        design: &'a Design,
+        board: &'a Board,
+        config: &'a JobConfig,
+        deadline_ms: &'a Option<u64>,
+    ) -> &mut Self {
+        self.field("design", design)
+            .field("board", board)
+            .field("config", config);
         // Omitted (not null) when absent, so old servers and scripted
         // clients are byte-compatible.
-        if let Some(ms) = spec.deadline_ms {
+        if let Some(ms) = deadline_ms {
             self.field("deadline_ms", ms);
         }
         self
@@ -817,14 +823,6 @@ serialize_members!(
     JobEvent
 );
 
-/// Borrowed `submit` body fields.
-struct SubmitBody<'a> {
-    design: &'a Design,
-    board: &'a Board,
-    config: &'a JobConfig,
-    deadline_ms: &'a Option<u64>,
-}
-
 fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
     T::from_value(v.get(name).ok_or_else(|| DeError::missing(name))?)
 }
@@ -856,18 +854,9 @@ fn submit_body_from_value(v: &Value) -> Result<SubmitSpec, DeError> {
 }
 
 impl SubmitSpec {
-    fn body(&self) -> SubmitBody<'_> {
-        SubmitBody {
-            design: &self.design,
-            board: &self.board,
-            config: &self.config,
-            deadline_ms: &self.deadline_ms,
-        }
-    }
-
     fn members(&self) -> Members<'_> {
         let mut m = Members::default();
-        m.submit_body(self.body());
+        m.submit_body(&self.design, &self.board, &self.config, &self.deadline_ms);
         m
     }
 }
@@ -933,12 +922,8 @@ impl Request {
                 config,
                 deadline_ms,
             } => {
-                m.token("verb", "submit").submit_body(SubmitBody {
-                    design,
-                    board,
-                    config,
-                    deadline_ms,
-                });
+                m.token("verb", "submit")
+                    .submit_body(design, board, config, deadline_ms);
             }
             Request::SubmitBatch {
                 jobs,
