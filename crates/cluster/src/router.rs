@@ -37,7 +37,7 @@
 //! restart orphans exactly the jobs whose backend also died.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -52,8 +52,8 @@ use gmm_service::events::{writer_loop, Outbox};
 use gmm_service::hash::{instance_key, InstanceKey};
 use gmm_service::protocol::{
     frame_too_long, read_frame, render_response, AttachSnapshot, FrameRead, JobEvent,
-    ProtoVersions, Request, Response, ServiceStats, SubmitReceipt, SubmitSpec, CAPABILITIES,
-    PROTO_VERSION,
+    ProtoVersions, Request, Response, ServerFrame, ServiceStats, SubmitReceipt, SubmitSpec,
+    CAPABILITIES, PROTO_VERSION,
 };
 use gmm_service::queue::JobState;
 
@@ -354,12 +354,13 @@ fn dial(conn: &Arc<Conn>, addr: &str) -> Result<Arc<Link>, String> {
         .write_all(hello.as_bytes())
         .and_then(|_| writer.flush())
         .map_err(io_err)?;
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(io_err)?;
-    if n == 0 {
-        return Err(format!("backend {addr} closed during handshake"));
-    }
-    match serde_json::from_str::<Response>(&line) {
+    let mut buf = Vec::new();
+    let line = match read_frame(&mut reader, &mut buf).map_err(io_err)? {
+        FrameRead::Line(line) => line,
+        FrameRead::TooLong => return Err(format!("backend {addr}: over-long handshake line")),
+        FrameRead::Eof => return Err(format!("backend {addr} closed during handshake")),
+    };
+    match serde_json::from_str::<Response>(line) {
         Ok(Response::Welcome { proto, .. }) if proto >= 2 => {}
         Ok(_) => return Err(format!("backend {addr} does not speak protocol v2")),
         Err(e) => return Err(format!("backend {addr}: bad handshake: {e}")),
@@ -407,35 +408,30 @@ fn ensure_link(conn: &Arc<Conn>, addr: &str) -> Result<Arc<Link>, String> {
 }
 
 /// Reader thread for one backend link: routes responses to the waiting
-/// round-trip and event frames into the client's outbox. EOF or a read
-/// error declares the backend lost.
+/// round-trip and event frames into the client's outbox. EOF, a read
+/// error or a line longer than
+/// [`MAX_FRAME_BYTES`](gmm_service::protocol::MAX_FRAME_BYTES) declares
+/// the backend lost, so a backend can never make the router buffer a
+/// line without bound.
 fn pump(
     conn: Arc<Conn>,
     addr: String,
     mut reader: BufReader<TcpStream>,
     resp: mpsc::Sender<Response>,
 ) {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
+    let mut buf = Vec::new();
+    while let Ok(FrameRead::Line(line)) = read_frame(&mut reader, &mut buf) {
         if line.trim().is_empty() {
             continue;
         }
-        let Ok(value) = serde_json::from_str::<Value>(&line) else {
-            continue;
-        };
-        if value.get("event").is_some() {
-            if let Ok(ev) = serde_json::from_value::<JobEvent>(value) {
-                on_backend_event(&conn, &addr, ev);
-            }
-        } else if let Ok(frame) = Response::from_owned_value(value) {
+        match ServerFrame::parse(line) {
+            Ok(ServerFrame::Event(ev)) => on_backend_event(&conn, &addr, ev),
             // A dropped receiver means no round-trip is waiting; the
             // frame is stale (e.g. an answer after its timeout).
-            let _ = resp.send(frame);
+            Ok(ServerFrame::Response(frame)) => {
+                let _ = resp.send(*frame);
+            }
+            Err(_) => {}
         }
     }
     fail_over(&conn, &addr);
@@ -1529,6 +1525,7 @@ fn serve_connection(stream: TcpStream, local: SocketAddr, shared: Arc<RouterShar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufRead;
 
     use gmm_service::client::Session;
     use gmm_service::queue::{JobConfig, JobQueue, QueueOptions};

@@ -1,12 +1,17 @@
 //! Hostile frames sent to `gmm route` get structured errors, and the
-//! router keeps serving the connection that sent them.
+//! router keeps serving the connection that sent them. A backend that
+//! sends an over-long line is declared lost like one that hangs up.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
-use gmm_cluster::{Router, RouterOptions};
-use gmm_service::{JobQueue, MapServer, QueueOptions, Request, Response, MAX_FRAME_BYTES};
+use gmm_cluster::{Router, RouterOptions, ShardMap};
+use gmm_service::{
+    instance_key, JobConfig, JobQueue, JobState, MapServer, QueueOptions, Request, Response,
+    Session, SubmitReceipt, SubmitSpec, CAPABILITIES, MAX_FRAME_BYTES, PROTO_VERSION,
+};
 
 #[test]
 fn router_answers_hostile_nesting_with_an_error_and_keeps_serving() {
@@ -87,5 +92,101 @@ fn router_closes_an_over_long_line_after_one_error_frame() {
     assert!(
         matches!(serde_json::from_str(&line), Ok(Response::Stats(_))),
         "got {line:?}"
+    );
+}
+
+/// A backend that negotiates protocol v2 and accepts one `submit_batch`
+/// frame, then sends `MAX_FRAME_BYTES + 1` bytes with no newline and
+/// keeps its socket open. It answers every other verb with an error.
+fn start_runaway_backend() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().unwrap();
+                let mut reader = BufReader::new(stream);
+                let mut line = String::new();
+                while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                    let answer = match serde_json::from_str::<Request>(&line) {
+                        Ok(Request::Hello { .. }) => Response::Welcome {
+                            proto: PROTO_VERSION,
+                            capabilities: CAPABILITIES.iter().map(|c| c.to_string()).collect(),
+                        },
+                        Ok(Request::SubmitBatch { jobs, .. }) => Response::BatchSubmitted {
+                            jobs: (1..=jobs.len() as u64)
+                                .map(|job| SubmitReceipt {
+                                    job,
+                                    state: JobState::Queued,
+                                    cached: false,
+                                    key: "00".into(),
+                                })
+                                .collect(),
+                        },
+                        _ => Response::Error {
+                            message: "stub".into(),
+                        },
+                    };
+                    let runaway = matches!(answer, Response::BatchSubmitted { .. });
+                    let mut frame = serde_json::to_string(&answer).unwrap();
+                    frame.push('\n');
+                    if writer.write_all(frame.as_bytes()).is_err() {
+                        return;
+                    }
+                    if runaway {
+                        // Hold the socket open: only the length bound
+                        // can end the router's read.
+                        let _ = writer.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1]);
+                    }
+                    line.clear();
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn router_drops_a_backend_that_sends_an_over_long_line() {
+    let mut opts = QueueOptions::default();
+    opts.workers = 1;
+    let good = MapServer::start("127.0.0.1:0", Arc::new(JobQueue::new(opts))).unwrap();
+    let runaway = start_runaway_backend();
+    let backends = vec![good.local_addr().to_string(), runaway.clone()];
+    let ring = ShardMap::new(&backends, 0);
+    let router = Router::start("127.0.0.1:0", RouterOptions::new(backends)).unwrap();
+
+    // Distinct instances until both backends own some.
+    let config = JobConfig::default();
+    let board = gmm_arch::Board::prototyping("XCV300", 1).unwrap();
+    let mut specs = Vec::new();
+    let mut on_runaway = 0;
+    for seed in 0.. {
+        let design = gmm_workloads::random_design(&gmm_workloads::RandomDesignSpec {
+            segments: 4,
+            seed,
+            ..gmm_workloads::RandomDesignSpec::default()
+        });
+        if ring.owner(instance_key(&design, &board, &config).0) == runaway {
+            on_runaway += 1;
+        }
+        specs.push(SubmitSpec::new(design, board.clone(), config.clone()));
+        if on_runaway >= 2 && specs.len() > on_runaway {
+            break;
+        }
+    }
+
+    let mut session = Session::connect(router.local_addr()).unwrap();
+    session.submit_batch(specs.clone()).unwrap();
+    let outcomes = session.wait_all(Duration::from_secs(120)).unwrap();
+    assert_eq!(outcomes.len(), specs.len());
+    for out in &outcomes {
+        assert_eq!(out.state, JobState::Done, "{out:?}");
+    }
+    let stats = session.stats().unwrap();
+    assert!(
+        stats.jobs_submitted >= specs.len() as u64,
+        "the good backend ran every job: {stats:?}"
     );
 }

@@ -6,14 +6,21 @@
 //! [`Serialize::write_json`] appends compact JSON straight to a
 //! [`JsonWriter`], which is how every render goes, and
 //! [`Serialize::to_value`] builds an owned JSON-like [`Value`] tree for the
-//! callers that need one (masking, pretty output). [`Deserialize`] reads a
-//! tree. The companion `serde_json` stand-in parses text into `Value`. Only
-//! the API surface this workspace uses is provided.
+//! callers that need one (masking, pretty output). [`Deserialize`] mirrors
+//! it: [`Deserialize::read_json`] decodes straight from a [`JsonReader`]
+//! over the text, which is how every parse goes, and
+//! [`Deserialize::from_value`] decodes a [`Value`] tree (with
+//! [`Deserialize::from_owned_value`] for a tree the decoder may take
+//! apart). Only the API surface this workspace uses is provided.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 pub use serde_derive::{Deserialize, Serialize};
+
+mod read;
+pub use read::{Fields, JsonReader, MAX_DEPTH};
 
 /// JSON-like data tree all (de)serialization goes through.
 ///
@@ -280,9 +287,26 @@ pub trait Serialize {
     }
 }
 
-/// Rebuild `Self` from a [`Value`] tree.
+/// Rebuild `Self` from JSON: from text, from a borrowed tree, or from an
+/// owned tree.
+///
+/// All three must agree: for any text, `read_json` gives what parsing the
+/// text into a tree and calling `from_value` gives, or both fail.
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Rebuild `Self` from a tree it may take apart, moving strings and
+    /// subtrees out instead of cloning them. The default borrows `v`.
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        Self::from_value(&v)
+    }
+
+    /// Read one value of `Self` straight from `r`. The default parses the
+    /// value into a tree and decodes that, so an impl that does not
+    /// override it stays correct; impls override it to read with no tree.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        Self::from_owned_value(r.value()?)
+    }
 }
 
 /// Mirror of `serde::de` for the `DeserializeOwned` bound used in generic
@@ -329,6 +353,15 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
+    }
+
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        Ok(v)
+    }
+
+    /// The tree parser.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        r.value()
     }
 }
 
@@ -447,6 +480,26 @@ impl Deserialize for String {
             .map(str::to_owned)
             .ok_or_else(|| DeError::new("expected string"))
     }
+
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        match v {
+            Value::Str(s) => Ok(s),
+            _ => Err(DeError::new("expected string")),
+        }
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        string_token(r).map(Cow::into_owned)
+    }
+}
+
+/// The string literal `r` is at; anything else is the error every string
+/// decoder gives.
+fn string_token<'a>(r: &mut JsonReader<'a>) -> Result<Cow<'a, str>, DeError> {
+    match r.peek() {
+        Some(b'"') => r.str(),
+        _ => Err(r.err("expected string")),
+    }
 }
 
 impl Serialize for str {
@@ -467,6 +520,10 @@ impl Deserialize for &'static str {
         let s = v.as_str().ok_or_else(|| DeError::new("expected string"))?;
         Ok(Box::leak(s.to_owned().into_boxed_str()))
     }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        Ok(Box::leak(string_token(r)?.into_owned().into_boxed_str()))
+    }
 }
 
 impl Serialize for char {
@@ -481,14 +538,22 @@ impl Serialize for char {
 
 impl Deserialize for char {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| DeError::new("expected single-char string"))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(DeError::new("expected single-char string")),
-        }
+        single_char(
+            v.as_str()
+                .ok_or_else(|| DeError::new("expected single-char string"))?,
+        )
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        single_char(&string_token(r)?)
+    }
+}
+
+fn single_char(s: &str) -> Result<char, DeError> {
+    let mut chars = s.chars();
+    match (chars.next(), chars.next()) {
+        (Some(c), None) => Ok(c),
+        _ => Err(DeError::new("expected single-char string")),
     }
 }
 
@@ -509,6 +574,22 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .iter()
             .map(T::from_value)
             .collect()
+    }
+
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        match v {
+            Value::Array(items) => items.into_iter().map(T::from_owned_value).collect(),
+            _ => Err(DeError::new("expected array")),
+        }
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        r.begin_array()?;
+        let mut items = Vec::new();
+        while r.next_item()? {
+            items.push(T::read_json(r)?);
+        }
+        Ok(items)
     }
 }
 
@@ -535,6 +616,21 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => T::from_value(other).map(Some),
         }
     }
+
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        match v {
+            Value::Null => Ok(None),
+            other => T::from_owned_value(other).map(Some),
+        }
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        if r.null() {
+            Ok(None)
+        } else {
+            T::read_json(r).map(Some)
+        }
+    }
 }
 
 impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
@@ -554,6 +650,10 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
             .iter()
             .map(T::from_value)
             .collect()
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        Ok(Vec::read_json(r)?.into_iter().collect())
     }
 }
 
@@ -588,6 +688,17 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
             .map(|(k, v)| V::from_value(v).map(|v| (k.clone(), v)))
             .collect()
     }
+
+    /// A repeated key keeps its last value, as collecting the tree's
+    /// pairs does.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        r.begin_object()?;
+        let mut map = BTreeMap::new();
+        while let Some(key) = r.next_key()? {
+            map.insert(key.into_owned(), V::read_json(r)?);
+        }
+        Ok(map)
+    }
 }
 
 macro_rules! impl_tuple {
@@ -618,6 +729,25 @@ macro_rules! impl_tuple {
                 }
                 Ok(($($t::from_value(&items[$n])?,)+))
             }
+
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+                r.begin_array()?;
+                let mut slots = ($(None::<$t>,)+);
+                let mut found = 0;
+                while r.next_item()? {
+                    match found {
+                        $($n => slots.$n = Some($t::read_json(r)?),)+
+                        _ => r.skip()?,
+                    }
+                    found += 1;
+                }
+                let expected = [$($n),+].len();
+                if found != expected {
+                    return Err(DeError::new(format!(
+                        "expected {expected}-tuple, found {found} elements")));
+                }
+                Ok(($(slots.$n.expect("a full tuple fills every slot"),)+))
+            }
         }
     )*};
 }
@@ -642,7 +772,15 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let items: Vec<T> = Vec::from_value(v)?;
-        <[T; N]>::try_from(items)
-            .map_err(|items| DeError::new(format!("expected {N} elements, found {}", items.len())))
+        fixed(items)
     }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        fixed(Vec::read_json(r)?)
+    }
+}
+
+fn fixed<T, const N: usize>(items: Vec<T>) -> Result<[T; N], DeError> {
+    <[T; N]>::try_from(items)
+        .map_err(|items| DeError::new(format!("expected {N} elements, found {}", items.len())))
 }

@@ -16,6 +16,13 @@
 //! `write_json` writes the same JSON straight to a `serde::JsonWriter`,
 //! its punctuation and keys precomputed as string literals.
 //!
+//! `Deserialize` gets `from_value`, which decodes a tree, and `read_json`,
+//! which reads the same JSON straight from a `serde::JsonReader` with the
+//! same meaning: keys are compared as borrowed slices against the field
+//! names, unknown members are checked and skipped without building
+//! anything, the first of a repeated key wins (as `Value::get` finds it),
+//! and a missing member is an error even for an `Option` field.
+//!
 //! Generics and `#[serde(...)]` attributes are not supported and fail
 //! loudly at expansion time.
 
@@ -330,13 +337,166 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             )
         }
     };
+    let read = read_json_body(&item);
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
          fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-         {body}\n}}\n}}\n"
+         {body}\n}}\n\
+         fn read_json(__r: &mut ::serde::JsonReader<'_>) \
+         -> ::std::result::Result<Self, ::serde::DeError> {{\n{read}\n}}\n}}\n"
     )
     .parse()
     .expect("generated Deserialize impl parses")
+}
+
+/// The body of the generated `read_json`: what `from_value` decodes from
+/// a parsed tree, read from `__r` with no tree.
+fn read_json_body(item: &Item) -> String {
+    let name = &item.name;
+    match &item.shape {
+        Shape::NamedStruct(fields) => format!("Ok({})", read_named(name, fields)),
+        Shape::TupleStruct(1) => format!("Ok({name}(::serde::Deserialize::read_json(__r)?))"),
+        Shape::TupleStruct(n) => {
+            format!(
+                "Ok({})",
+                read_tuple(name, *n, &format!("wrong arity for {name}"))
+            )
+        }
+        Shape::Enum(variants) => {
+            let bad_shape = format!(
+                "Err(::serde::DeError::new(\"expected string or 1-key object for {name}\"))"
+            );
+            let unknown = format!(
+                "Err(::serde::DeError::new(format!(\"unknown variant `{{__other}}` for {name}\")))"
+            );
+            let unit_arms: String = variants
+                .iter()
+                .filter(|v| matches!(v.kind, VariantKind::Unit))
+                .map(|v| format!("\"{0}\" => Ok({name}::{0}),\n", v.name))
+                .collect();
+            let data_arms: String = variants
+                .iter()
+                .filter_map(|v| {
+                    let path = format!("{name}::{}", v.name);
+                    let read = match &v.kind {
+                        VariantKind::Unit => return None,
+                        VariantKind::Tuple(1) => {
+                            format!("{path}(::serde::Deserialize::read_json(__r)?)")
+                        }
+                        VariantKind::Tuple(k) => {
+                            read_tuple(&path, *k, &format!("wrong arity for {path}"))
+                        }
+                        // `from_value` never looks inside a variant with
+                        // no fields, so any value is accepted and skipped.
+                        VariantKind::Struct(fields) if fields.is_empty() => {
+                            format!("{{\n__r.skip()?;\n{path} {{}}\n}}")
+                        }
+                        VariantKind::Struct(fields) => read_named(&path, fields),
+                    };
+                    Some(format!("\"{}\" => {read},\n", v.name))
+                })
+                .collect();
+            // With no data variants every tag is unknown, and the code
+            // after the tag match would be unreachable.
+            let object = if data_arms.is_empty() {
+                format!(
+                    "match __r.next_key()? {{\n\
+                         Some(__other) => {unknown},\n\
+                         None => {bad_shape},\n\
+                     }}"
+                )
+            } else {
+                format!(
+                    "let __tag = match __r.next_key()? {{\n\
+                         Some(__tag) => __tag,\n\
+                         None => return {bad_shape},\n\
+                     }};\n\
+                     let __value = match &*__tag {{\n\
+                         {data_arms}\
+                         __other => return {unknown},\n\
+                     }};\n\
+                     if __r.next_key()?.is_some() {{\n\
+                         return {bad_shape};\n\
+                     }}\n\
+                     Ok(__value)"
+                )
+            };
+            format!(
+                "match __r.peek() {{\n\
+                     Some(b'\"') => match &*__r.str()? {{\n\
+                         {unit_arms}\
+                         __other => {unknown},\n\
+                     }},\n\
+                     Some(b'{{') => {{\n\
+                         __r.begin_object()?;\n\
+                         {object}\n\
+                     }}\n\
+                     _ => {bad_shape},\n\
+                 }}"
+            )
+        }
+    }
+}
+
+/// An expression reading an object of `fields` from `__r` into
+/// `ctor { .. }`.
+fn read_named(ctor: &str, fields: &[String]) -> String {
+    let slots: String = fields
+        .iter()
+        .map(|f| format!("let mut __f_{f} = ::std::option::Option::None;\n"))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .map(|f| {
+            format!(
+                "\"{f}\" if __f_{f}.is_none() => \
+                 __f_{f} = Some(::serde::Deserialize::read_json(__r)?),\n"
+            )
+        })
+        .collect();
+    let members: String = fields
+        .iter()
+        .map(|f| format!("{f}: __f_{f}.ok_or_else(|| ::serde::DeError::missing(\"{f}\"))?,\n"))
+        .collect();
+    let members_loop = if fields.is_empty() {
+        "while __r.next_key()?.is_some() {\n__r.skip()?;\n}\n".to_string()
+    } else {
+        format!(
+            "while let Some(__key) = __r.next_key()? {{\n\
+                 match &*__key {{\n{arms}_ => __r.skip()?,\n}}\n\
+             }}\n"
+        )
+    };
+    format!("{{\n__r.begin_object()?;\n{slots}{members_loop}{ctor} {{\n{members}}}\n}}")
+}
+
+/// An expression reading an array of exactly `n` items from `__r` into
+/// `ctor(..)`.
+fn read_tuple(ctor: &str, n: usize, arity: &str) -> String {
+    let wrong = format!("return Err(::serde::DeError::new(\"{arity}\"))");
+    let items: String = (0..n)
+        .map(|i| {
+            format!(
+                "let __{i} = if __r.next_item()? {{\n\
+                     ::serde::Deserialize::read_json(__r)?\n\
+                 }} else {{\n\
+                     {wrong};\n\
+                 }};\n"
+            )
+        })
+        .collect();
+    let binds: Vec<String> = (0..n).map(|i| format!("__{i}")).collect();
+    format!(
+        "{{\n\
+         __r.begin_array()?;\n\
+         {items}\
+         if __r.next_item()? {{\n\
+             {wrong};\n\
+         }}\n\
+         {ctor}({})\n\
+         }}",
+        binds.join(", ")
+    )
 }
 
 struct Item {

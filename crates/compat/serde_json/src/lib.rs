@@ -1,7 +1,10 @@
 //! Offline stand-in for `serde_json`. [`to_string`] writes compact JSON
 //! straight from a typed value through `serde`'s `Serialize::write_json`,
-//! with no tree in between; [`from_str`] parses text into the `serde`
-//! stand-in's [`Value`] tree and decodes that.
+//! and [`from_str`] reads a typed value straight from the text through
+//! `Deserialize::read_json` over a `serde::JsonReader`, with no tree in
+//! between either way. A [`Value`] target gets the parsed tree itself;
+//! [`from_value`] decodes a tree it owns, moving strings and subtrees out
+//! of it.
 //!
 //! One deliberate deviation from strict JSON: non-finite floats are
 //! written as the bare tokens `Infinity`, `-Infinity`, and `NaN` (strict
@@ -9,7 +12,7 @@
 //! infinite bounds), and the parser accepts those tokens back.
 
 pub use serde::Value;
-use serde::{DeError, Deserialize, JsonWriter, Serialize};
+use serde::{DeError, Deserialize, JsonReader, JsonWriter, Serialize};
 
 /// Serialization/deserialization failure with a short message.
 #[derive(Debug, Clone)]
@@ -48,13 +51,27 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
     Ok(value.to_value())
 }
 
+/// One `T` read straight from `text`, which must hold nothing else but
+/// whitespace.
+///
+/// Malformed text fails with the parser's own error even where the
+/// reader stopped earlier at a value of the wrong shape, as decoding a
+/// parsed tree would: a line of 200k `[` answers `nesting deeper than
+/// 128`, whatever `T` is.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parse(text)?;
-    T::from_value(&value).map_err(Error::from)
+    let mut reader = JsonReader::new(text);
+    let read = T::read_json(&mut reader).and_then(|value| reader.end().map(|()| value));
+    read.map_err(|err| {
+        let mut check = JsonReader::new(text);
+        let malformed = check.skip().and_then(|()| check.end()).err();
+        malformed.unwrap_or(err).into()
+    })
 }
 
+/// `T` decoded from a tree it takes apart (see
+/// `Deserialize::from_owned_value`).
 pub fn from_value<T: Deserialize>(value: Value) -> Result<T, Error> {
-    T::from_value(&value).map_err(Error::from)
+    T::from_owned_value(value).map_err(Error::from)
 }
 
 const INDENT: usize = 2;
@@ -98,233 +115,13 @@ fn write_pretty(out: &mut JsonWriter, v: &Value, depth: usize) {
     }
 }
 
-/// Deepest array/object nesting [`from_str`] accepts. The parser recurses
-/// once per level, so an unbounded depth lets one line of `[` overflow the
-/// stack of whichever thread parses it; 128 is far above any frame the
-/// service protocol sends and far below what a 2 MiB thread stack holds.
-const MAX_DEPTH: usize = 128;
+#[cfg(test)]
+use serde::MAX_DEPTH;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects open around `pos`.
-    depth: usize,
-}
-
+/// The tree parser, which the tests below drive directly.
+#[cfg(test)]
 fn parse(text: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn eat_word(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b't') if self.eat_word("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_word("false") => Ok(Value::Bool(false)),
-            Some(b'n') if self.eat_word("null") => Ok(Value::Null),
-            Some(b'N') if self.eat_word("NaN") => Ok(Value::Float(f64::NAN)),
-            Some(b'I') if self.eat_word("Infinity") => Ok(Value::Float(f64::INFINITY)),
-            Some(b'-') if self.bytes[self.pos..].starts_with(b"-Infinity") => {
-                self.pos += "-Infinity".len();
-                Ok(Value::Float(f64::NEG_INFINITY))
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    /// Parse one array or object one level deeper, refusing to go past
-    /// [`MAX_DEPTH`].
-    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
-        }
-        self.depth += 1;
-        let v = container(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.eat(b'"')?;
-        let mut s = String::new();
-        loop {
-            let start = self.pos;
-            while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
-                self.pos += 1;
-            }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf8"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{0008}'),
-                        Some(b'f') => s.push('\u{000C}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            s.push(char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                None => return Err(self.err("unterminated string")),
-                Some(_) => unreachable!("scan stops only at quote or backslash"),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf8 in number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err("bad number"))
-        } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .or_else(|_| text.parse::<f64>().map(Value::Float))
-                .map_err(|_| self.err("bad number"))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .or_else(|_| text.parse::<f64>().map(Value::Float))
-                .map_err(|_| self.err("bad number"))
-        }
-    }
+    from_str(text)
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@ use gmm_design::Design;
 
 use crate::events::{Frame, Popped};
 use crate::protocol::{
-    JobEvent, Request, Response, ServiceStats, SubmitReceipt, SubmitSpec, PROTO_VERSION,
+    JobEvent, Request, Response, ServerFrame, ServiceStats, SubmitReceipt, SubmitSpec,
+    MAX_FRAME_BYTES, PROTO_VERSION,
 };
 use crate::queue::{JobConfig, JobQueue, JobState};
 use crate::server::{service_stats, EVENT_QUEUE_CAP};
@@ -455,6 +456,11 @@ impl RemoteTransport {
         let mut text =
             serde_json::to_string(request).expect("in-tree serde_json cannot fail to render");
         text.push('\n');
+        self.send_text(&text)
+    }
+
+    /// Write whole lines, their `\n` included, in one write.
+    fn send_text(&mut self, text: &str) -> Result<(), ClientError> {
         self.writer.write_all(text.as_bytes())?;
         self.writer.flush()?;
         Ok(())
@@ -478,6 +484,32 @@ impl RemoteTransport {
     fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.send(request)?;
         self.read_response()
+    }
+
+    /// Submit one `submit_batch` line, re-sending it verbatim while the
+    /// server answers `overloaded`: the server sheds whole frames, so
+    /// re-sending never double-submits.
+    fn submit_line(&mut self, line: &str) -> Result<Vec<SubmitReceipt>, ClientError> {
+        let mut attempts = 0u32;
+        loop {
+            self.send_text(line)?;
+            match self.read_response()? {
+                Response::Error { message } => return Err(ClientError::Remote(message)),
+                Response::Overloaded {
+                    message,
+                    retry_after_ms,
+                    ..
+                } => {
+                    attempts += 1;
+                    if attempts >= OVERLOAD_RETRY_LIMIT {
+                        return Err(ClientError::Remote(message));
+                    }
+                    std::thread::sleep(Duration::from_millis(retry_after_ms.clamp(1, 1000)));
+                }
+                Response::BatchSubmitted { jobs } => return Ok(jobs),
+                other => return Err(unexpected("submit_batch", &other)),
+            }
+        }
     }
 
     /// Pipelined `result` fetch: write the requests for `jobs` ahead of
@@ -532,25 +564,63 @@ impl RemoteTransport {
     }
 }
 
-enum ServerFrame {
-    // Boxed: a stats-bearing Response dwarfs an event frame, and event
-    // frames are the hot path.
-    Response(Box<Response>),
-    Event(JobEvent),
+/// The watched `submit_batch` frames for `specs`: consecutive runs of
+/// them, in order, each frame exactly as [`Request::SubmitBatch`] renders
+/// it and at most `cap` bytes long, so that no frame meets a peer's
+/// [`MAX_FRAME_BYTES`] bound. No specs give the one empty frame. A spec
+/// too long to fit a frame on its own is an error.
+fn batch_frames(
+    specs: &[SubmitSpec],
+    progress: bool,
+    cap: usize,
+) -> Result<Vec<String>, ClientError> {
+    let render = |v: &dyn serde::Serialize| {
+        serde_json::to_string(v).expect("in-tree serde_json cannot fail to render")
+    };
+    let empty = render(&Request::SubmitBatch {
+        jobs: vec![],
+        watch: true,
+        progress,
+    });
+    let (head, tail) = empty
+        .split_once("[]")
+        .expect("an empty batch renders its jobs as []");
+    let mut frames = Vec::new();
+    let mut frame = String::new();
+    for spec in specs {
+        let job = render(spec);
+        if head.len() + job.len() + tail.len() + 2 > cap {
+            return Err(ClientError::Protocol(format!(
+                "a {}-byte job does not fit a {cap}-byte submit_batch frame",
+                job.len()
+            )));
+        }
+        if !frame.is_empty() && frame.len() + job.len() + tail.len() + 2 > cap {
+            frame.push(']');
+            frame.push_str(tail);
+            frames.push(std::mem::take(&mut frame));
+        }
+        if frame.is_empty() {
+            frame.push_str(head);
+            frame.push('[');
+        } else {
+            frame.push(',');
+        }
+        frame.push_str(&job);
+    }
+    if frame.is_empty() {
+        frames.push(empty.clone());
+    } else {
+        frame.push(']');
+        frame.push_str(tail);
+        frames.push(frame);
+    }
+    Ok(frames)
 }
 
 /// Split the two server frame families on their tag field.
 fn classify(line: &str) -> Result<ServerFrame, ClientError> {
-    let value: Value =
-        serde_json::from_str(line).map_err(|e| ClientError::Protocol(format!("bad frame: {e}")))?;
-    if value.get("event").is_some() {
-        return serde_json::from_value::<JobEvent>(value)
-            .map(ServerFrame::Event)
-            .map_err(|e| ClientError::Protocol(format!("bad event frame: {e}")));
-    }
-    Response::from_owned_value(value)
-        .map(|resp| ServerFrame::Response(Box::new(resp)))
-        .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")))
+    ServerFrame::parse(line).map_err(|e| ClientError::Protocol(format!("bad frame: {e}")))
 }
 
 /// The in-process half of a [`Session`]: the same event machinery a v2
@@ -759,35 +829,12 @@ impl Session {
                 })
                 .collect::<Vec<_>>(),
             Transport::Remote(t) if t.proto >= 2 => {
-                // Keep the request so an `overloaded` rejection can be
-                // retried verbatim: the server sheds whole batches, so
-                // re-sending never double-submits.
-                let request = Request::SubmitBatch {
-                    jobs: specs,
-                    watch: true,
-                    progress: want_progress,
-                };
-                let mut attempts = 0u32;
-                loop {
-                    match t.roundtrip(&request)? {
-                        Response::Error { message } => return Err(ClientError::Remote(message)),
-                        Response::Overloaded {
-                            message,
-                            retry_after_ms,
-                            ..
-                        } => {
-                            attempts += 1;
-                            if attempts >= OVERLOAD_RETRY_LIMIT {
-                                return Err(ClientError::Remote(message));
-                            }
-                            std::thread::sleep(Duration::from_millis(
-                                retry_after_ms.clamp(1, 1000),
-                            ));
-                        }
-                        Response::BatchSubmitted { jobs } => break jobs,
-                        other => return Err(unexpected("submit_batch", &other)),
-                    }
+                let mut receipts = Vec::with_capacity(specs.len());
+                for mut line in batch_frames(&specs, want_progress, MAX_FRAME_BYTES)? {
+                    line.push('\n');
+                    receipts.extend(t.submit_line(&line)?);
                 }
+                receipts
             }
             Transport::Remote(t) => {
                 let mut receipts = Vec::with_capacity(specs.len());
@@ -1389,5 +1436,65 @@ fn note_event(
         if state.is_terminal() {
             terminal.insert(*job, (*state, *termination));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn batch(jobs: Vec<SubmitSpec>, progress: bool) -> String {
+        serde_json::to_string(&Request::SubmitBatch {
+            jobs,
+            watch: true,
+            progress,
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn batch_frames_split_under_the_cap() {
+        // Specs of different lengths, so frames break at uneven counts.
+        let specs: Vec<SubmitSpec> = (0..9)
+            .map(|i| {
+                let mut b = gmm_design::DesignBuilder::new(format!("d{}", "x".repeat(i * 7)));
+                b.segment("s", 64, 8).unwrap();
+                let board = Board::prototyping("XCV300", 1).unwrap();
+                SubmitSpec::new(b.build().unwrap(), board, JobConfig::default())
+            })
+            .collect();
+        let whole = batch(specs.clone(), false);
+        assert_eq!(
+            batch_frames(&specs, false, whole.len()).unwrap(),
+            [whole.as_str()]
+        );
+        // The smallest cap that fits every spec on its own.
+        let floor = specs
+            .iter()
+            .map(|s| batch(vec![s.clone()], false).len())
+            .max()
+            .unwrap();
+        for cap in [floor, floor + 1, 2 * floor, whole.len() - 1] {
+            let frames = batch_frames(&specs, false, cap).unwrap();
+            assert!(frames.len() > 1, "cap {cap} splits");
+            let mut back = Vec::new();
+            for frame in &frames {
+                assert!(frame.len() <= cap, "{} > {cap}", frame.len());
+                let Request::SubmitBatch {
+                    jobs,
+                    watch: true,
+                    progress: false,
+                } = serde_json::from_str(frame).unwrap()
+                else {
+                    panic!("a watched submit_batch frame: {frame}");
+                };
+                assert_eq!(frame, &batch(jobs.clone(), false));
+                back.extend(jobs);
+            }
+            assert_eq!(back, specs, "every spec once, in order");
+        }
+        let err = batch_frames(&specs, false, floor - 1).unwrap_err();
+        assert!(err.to_string().contains("does not fit"), "{err}");
+        assert_eq!(batch_frames(&[], true, 1).unwrap(), [batch(vec![], true)]);
     }
 }

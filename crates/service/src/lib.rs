@@ -99,8 +99,8 @@ pub use hash::{canonical_json, family_key, instance_key, InstanceKey};
 pub use persist::{PersistStats, PersistStore, WarmHint};
 pub use protocol::{
     frame_too_long, read_frame, AttachSnapshot, FrameRead, JobEvent, ProgressFrame, ProtoVersions,
-    Request, Response, ServiceStats, StatsDelta, SubmitReceipt, SubmitSpec, CAPABILITIES,
-    MAX_FRAME_BYTES, PROTO_VERSION,
+    Request, Response, ServerFrame, ServiceStats, StatsDelta, SubmitReceipt, SubmitSpec,
+    CAPABILITIES, MAX_FRAME_BYTES, PROTO_VERSION,
 };
 pub use queue::{
     JobConfig, JobOutcome, JobQueue, JobSolution, JobState, JobTicket, LpBasis, LpPricing,

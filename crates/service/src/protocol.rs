@@ -117,7 +117,12 @@
 //! wants flat, verb-tagged objects that `nc`/scripting clients can speak.
 //! Each type lists a frame's members once, and both `Serialize` methods
 //! walk that list: `write_json` writes the line with no tree, and
-//! `to_value` builds the same object as a tree.
+//! `to_value` builds the same object as a tree. Decoding mirrors it: each
+//! type's `decode` reads its members once from a [`serde::Fields`], which
+//! serves streamed text (`read_json`, no tree), a borrowed tree and an
+//! owned tree alike. The tag (`verb`, `event`, `ok`) comes first in every
+//! frame this crate writes, so a frame reads in one pass; a tag anywhere
+//! else still decodes.
 //!
 //! ## Frame size
 //!
@@ -126,7 +131,7 @@
 
 use std::io::{self, BufRead, Read};
 
-use serde::{DeError, Deserialize, JsonWriter, Serialize, Value};
+use serde::{DeError, Deserialize, Fields, JsonReader, JsonWriter, Serialize, Value};
 
 use gmm_api::Termination;
 use gmm_arch::Board;
@@ -702,6 +707,42 @@ pub fn render_response(response: &Response) -> String {
     line.into_string()
 }
 
+/// One line from a server: the answer to a request, or an event frame
+/// pushed between answers.
+#[derive(Debug)]
+pub enum ServerFrame {
+    // Boxed: a stats-bearing Response dwarfs an event frame, and event
+    // frames are the hot path.
+    Response(Box<Response>),
+    Event(JobEvent),
+}
+
+impl ServerFrame {
+    /// Decode one server line. The two families differ in their tag, and
+    /// every in-tree writer puts it first (`event`, or `ok`), so the first
+    /// member picks the decoder and the line is read once, with no tree.
+    /// A line that starts with any other member is parsed into a tree and
+    /// split on whether it has an `event` member anywhere.
+    pub fn parse(line: &str) -> Result<ServerFrame, serde_json::Error> {
+        let first = {
+            let mut r = JsonReader::new(line);
+            r.begin_object().and_then(|()| r.next_key()).ok().flatten()
+        };
+        match first.as_deref() {
+            Some("event") => serde_json::from_str(line).map(ServerFrame::Event),
+            Some("ok") => serde_json::from_str(line).map(|r| ServerFrame::Response(Box::new(r))),
+            _ => {
+                let tree: Value = serde_json::from_str(line)?;
+                if tree.get("event").is_some() {
+                    serde_json::from_value(tree).map(ServerFrame::Event)
+                } else {
+                    serde_json::from_value(tree).map(|r| ServerFrame::Response(Box::new(r)))
+                }
+            }
+        }
+    }
+}
+
 /// One wire object stated once, in member order: both `Serialize`
 /// methods walk the same list, so the tree and the streamed text cannot
 /// drift apart. `rest`, when set, splices the members of an object-valued
@@ -823,34 +864,45 @@ serialize_members!(
     JobEvent
 );
 
-fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
-    T::from_value(v.get(name).ok_or_else(|| DeError::missing(name))?)
-}
+/// `Deserialize` for a type with a `decode` that reads its members from
+/// a [`Fields`]: the one list of reads decodes a parsed tree, an owned
+/// tree (moving a `solution` payload out instead of cloning it) and
+/// streamed text alike.
+macro_rules! deserialize_fields {
+    ($($t:ty),*) => {$(
+        impl ::serde::Deserialize for $t {
+            fn from_value(v: &::serde::Value) -> Result<Self, ::serde::DeError> {
+                Self::decode(&mut ::serde::Fields::tree(v))
+            }
 
-fn opt_field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, DeError> {
-    match v.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(inner) => T::from_value(inner).map(Some),
-    }
-}
+            fn from_owned_value(mut v: ::serde::Value) -> Result<Self, ::serde::DeError> {
+                Self::decode(&mut ::serde::Fields::owned(&mut v))
+            }
 
-fn termination_field(v: &Value) -> Result<Option<Termination>, DeError> {
-    match opt_field::<String>(v, "termination")? {
+            fn read_json(r: &mut ::serde::JsonReader<'_>) -> Result<Self, ::serde::DeError> {
+                r.fields(Self::decode)
+            }
+        }
+    )*};
+}
+pub(crate) use deserialize_fields;
+
+deserialize_fields!(
+    SubmitSpec,
+    AttachSnapshot,
+    SubmitReceipt,
+    Request,
+    Response,
+    JobEvent
+);
+
+fn termination_field(m: &mut Fields) -> Result<Option<Termination>, DeError> {
+    match m.opt_field::<String>("termination")? {
         None => Ok(None),
         Some(token) => Termination::from_name(&token)
             .map(Some)
             .ok_or_else(|| DeError::new(format!("unknown termination token `{token}`"))),
     }
-}
-
-fn submit_body_from_value(v: &Value) -> Result<SubmitSpec, DeError> {
-    Ok(SubmitSpec {
-        design: field(v, "design")?,
-        board: field(v, "board")?,
-        // Optional so scripted clients can omit solver knobs.
-        config: opt_field(v, "config")?.unwrap_or_default(),
-        deadline_ms: opt_field(v, "deadline_ms")?,
-    })
 }
 
 impl SubmitSpec {
@@ -859,11 +911,16 @@ impl SubmitSpec {
         m.submit_body(&self.design, &self.board, &self.config, &self.deadline_ms);
         m
     }
-}
 
-impl Deserialize for SubmitSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        submit_body_from_value(v)
+    /// The shared body of `submit` and each `submit_batch` entry.
+    fn decode(m: &mut Fields) -> Result<SubmitSpec, DeError> {
+        Ok(SubmitSpec {
+            design: m.field("design")?,
+            board: m.field("board")?,
+            // Optional so scripted clients can omit solver knobs.
+            config: m.opt_field("config")?.unwrap_or_default(),
+            deadline_ms: m.opt_field("deadline_ms")?,
+        })
     }
 }
 
@@ -875,14 +932,12 @@ impl AttachSnapshot {
             .termination(self.termination);
         m
     }
-}
 
-impl Deserialize for AttachSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
+    fn decode(m: &mut Fields) -> Result<AttachSnapshot, DeError> {
         Ok(AttachSnapshot {
-            job: field(v, "job")?,
-            state: field(v, "state")?,
-            termination: termination_field(v)?,
+            job: m.field("job")?,
+            state: m.field("state")?,
+            termination: termination_field(m)?,
         })
     }
 }
@@ -896,15 +951,13 @@ impl SubmitReceipt {
             .field("key", &self.key);
         m
     }
-}
 
-impl Deserialize for SubmitReceipt {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
+    fn decode(m: &mut Fields) -> Result<SubmitReceipt, DeError> {
         Ok(SubmitReceipt {
-            job: field(v, "job")?,
-            state: field(v, "state")?,
-            cached: field(v, "cached")?,
-            key: field(v, "key")?,
+            job: m.field("job")?,
+            state: m.field("state")?,
+            cached: m.field("cached")?,
+            key: m.field("key")?,
         })
     }
 }
@@ -987,17 +1040,15 @@ impl Request {
         }
         m
     }
-}
 
-impl Deserialize for Request {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let verb: String = field(v, "verb")?;
+    fn decode(m: &mut Fields) -> Result<Request, DeError> {
+        let verb: String = m.field("verb")?;
         match verb.as_str() {
             "hello" => Ok(Request::Hello {
-                proto: field(v, "proto")?,
+                proto: m.field("proto")?,
             }),
             "submit" => {
-                let spec = submit_body_from_value(v)?;
+                let spec = SubmitSpec::decode(m)?;
                 Ok(Request::Submit {
                     design: spec.design,
                     board: spec.board,
@@ -1006,31 +1057,31 @@ impl Deserialize for Request {
                 })
             }
             "submit_batch" => Ok(Request::SubmitBatch {
-                jobs: field(v, "jobs")?,
-                watch: opt_field(v, "watch")?.unwrap_or(false),
-                progress: opt_field(v, "progress")?.unwrap_or(true),
+                jobs: m.field("jobs")?,
+                watch: m.opt_field("watch")?.unwrap_or(false),
+                progress: m.opt_field("progress")?.unwrap_or(true),
             }),
             "watch" => Ok(Request::Watch {
-                jobs: field(v, "jobs")?,
-                progress: opt_field(v, "progress")?.unwrap_or(true),
-                stats: opt_field(v, "stats")?.unwrap_or(false),
+                jobs: m.field("jobs")?,
+                progress: m.opt_field("progress")?.unwrap_or(true),
+                stats: m.opt_field("stats")?.unwrap_or(false),
             }),
             "attach" => Ok(Request::Attach {
-                jobs: field(v, "jobs")?,
-                progress: opt_field(v, "progress")?.unwrap_or(true),
-                stats: opt_field(v, "stats")?.unwrap_or(false),
+                jobs: m.field("jobs")?,
+                progress: m.opt_field("progress")?.unwrap_or(true),
+                stats: m.opt_field("stats")?.unwrap_or(false),
             }),
             "peek" => Ok(Request::Peek {
-                key: field(v, "key")?,
+                key: m.field("key")?,
             }),
             "poll" => Ok(Request::Poll {
-                job: field(v, "job")?,
+                job: m.field("job")?,
             }),
             "result" => Ok(Request::Result {
-                job: field(v, "job")?,
+                job: m.field("job")?,
             }),
             "cancel" => Ok(Request::Cancel {
-                job: field(v, "job")?,
+                job: m.field("job")?,
             }),
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
@@ -1151,93 +1202,71 @@ impl Response {
         m
     }
 
-    /// Decode a parsed frame, moving a `result` or `peek` answer's
-    /// `solution` subtree out of `v` instead of cloning it (what
-    /// [`Deserialize::from_value`] must do, given only a borrow).
-    pub fn from_owned_value(mut v: Value) -> Result<Response, DeError> {
-        let solution = match &mut v {
-            Value::Object(pairs) => pairs
-                .iter_mut()
-                .find(|(k, _)| k == "solution")
-                .map(|(_, tree)| std::mem::replace(tree, Value::Null)),
-            _ => None,
-        };
-        Response::decode(&v, solution)
-    }
-
-    /// Decode `v`, whose `solution` member, if any, is `solution`.
-    fn decode(v: &Value, solution: Option<Value>) -> Result<Response, DeError> {
-        let solution = solution.filter(|tree| !matches!(tree, Value::Null));
-        let ok: bool = field(v, "ok")?;
+    fn decode(m: &mut Fields) -> Result<Response, DeError> {
+        let ok: bool = m.field("ok")?;
         if !ok {
             // `kind` discriminates structured rejections from plain
             // errors; absent (old servers) everything is a plain error.
-            if let Some("overloaded") = v.get("kind").and_then(Value::as_str) {
+            if matches!(m.get("kind")?, Some(Value::Str(kind)) if kind == "overloaded") {
                 return Ok(Response::Overloaded {
-                    message: field(v, "error")?,
-                    inflight: field(v, "inflight")?,
-                    max_inflight: field(v, "max_inflight")?,
-                    retry_after_ms: field(v, "retry_after_ms")?,
+                    message: m.field("error")?,
+                    inflight: m.field("inflight")?,
+                    max_inflight: m.field("max_inflight")?,
+                    retry_after_ms: m.field("retry_after_ms")?,
                 });
             }
             return Ok(Response::Error {
-                message: field(v, "error")?,
+                message: m.field("error")?,
             });
         }
-        let verb: String = field(v, "verb")?;
+        let verb: String = m.field("verb")?;
         match verb.as_str() {
             "hello" => Ok(Response::Welcome {
-                proto: field(v, "proto")?,
-                capabilities: field(v, "capabilities")?,
+                proto: m.field("proto")?,
+                capabilities: m.field("capabilities")?,
             }),
             "submit_batch" => Ok(Response::BatchSubmitted {
-                jobs: field(v, "jobs")?,
+                jobs: m.field("jobs")?,
             }),
             "watch" => Ok(Response::Watching {
-                watching: field(v, "watching")?,
-                unknown: field(v, "unknown")?,
+                watching: m.field("watching")?,
+                unknown: m.field("unknown")?,
             }),
             "attach" => Ok(Response::Attached {
-                attached: field(v, "attached")?,
-                unknown: field(v, "unknown")?,
+                attached: m.field("attached")?,
+                unknown: m.field("unknown")?,
             }),
             "submit" => Ok(Response::Submitted {
-                job: field(v, "job")?,
-                state: field(v, "state")?,
-                cached: field(v, "cached")?,
-                key: field(v, "key")?,
+                job: m.field("job")?,
+                state: m.field("state")?,
+                cached: m.field("cached")?,
+                key: m.field("key")?,
             }),
             "peek" => Ok(Response::Peeked {
-                hit: field(v, "hit")?,
-                objective: opt_field(v, "objective")?,
-                solution,
+                hit: m.field("hit")?,
+                objective: m.opt_field("objective")?,
+                solution: m.opt_field("solution")?,
             }),
             "poll" => Ok(Response::PollState {
-                job: field(v, "job")?,
-                state: field(v, "state")?,
+                job: m.field("job")?,
+                state: m.field("state")?,
             }),
             "result" => Ok(Response::ResultReady {
-                job: field(v, "job")?,
-                state: field(v, "state")?,
-                cached: field(v, "cached")?,
-                objective: opt_field(v, "objective")?,
-                solution,
-                error: opt_field(v, "error")?,
+                job: m.field("job")?,
+                state: m.field("state")?,
+                cached: m.field("cached")?,
+                objective: m.opt_field("objective")?,
+                solution: m.opt_field("solution")?,
+                error: m.opt_field("error")?,
             }),
             "cancel" => Ok(Response::CancelState {
-                job: field(v, "job")?,
-                state: field(v, "state")?,
+                job: m.field("job")?,
+                state: m.field("state")?,
             }),
-            "stats" => Ok(Response::Stats(ServiceStats::from_value(v)?)),
+            "stats" => Ok(Response::Stats(m.whole()?)),
             "shutdown" => Ok(Response::Bye),
             other => Err(DeError::new(format!("unknown response verb `{other}`"))),
         }
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Response::decode(v, v.get("solution").cloned())
     }
 }
 
@@ -1276,32 +1305,30 @@ impl JobEvent {
         }
         m
     }
-}
 
-impl Deserialize for JobEvent {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let event: String = field(v, "event")?;
+    fn decode(m: &mut Fields) -> Result<JobEvent, DeError> {
+        let event: String = m.field("event")?;
         if event == "stats" {
-            return Ok(JobEvent::Stats(StatsDelta::from_value(v)?));
+            return Ok(JobEvent::Stats(m.whole()?));
         }
-        let job: u64 = field(v, "job")?;
+        let job: u64 = m.field("job")?;
         match event.as_str() {
             "state" => Ok(JobEvent::State {
                 job,
-                state: field(v, "state")?,
-                termination: termination_field(v)?,
+                state: m.field("state")?,
+                termination: termination_field(m)?,
             }),
             "progress" => {
-                let frame = if let Some(phase) = opt_field::<String>(v, "phase")? {
+                let frame = if let Some(phase) = m.opt_field::<String>("phase")? {
                     ProgressFrame::Phase { phase }
-                } else if let Some(objective) = opt_field::<f64>(v, "incumbent")? {
+                } else if let Some(objective) = m.opt_field::<f64>("incumbent")? {
                     ProgressFrame::Incumbent {
                         objective,
-                        nodes: field(v, "nodes")?,
+                        nodes: m.field("nodes")?,
                     }
                 } else {
                     ProgressFrame::Nodes {
-                        nodes: field(v, "nodes")?,
+                        nodes: m.field("nodes")?,
                     }
                 };
                 Ok(JobEvent::Progress { job, frame })

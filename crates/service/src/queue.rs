@@ -182,24 +182,22 @@ impl Default for JobConfig {
     }
 }
 
-/// Hand-rolled so `solve_mode` (added after protocol v2 shipped) stays
-/// optional on the wire: configs serialized by older clients deserialize
-/// to the default `ilp` mode instead of erroring.
-impl Deserialize for JobConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let field = |name: &str| v.get(name).ok_or_else(|| serde::DeError::missing(name));
+/// Decoded by hand so `solve_mode` (added after protocol v2 shipped)
+/// stays optional on the wire: configs serialized by older clients
+/// deserialize to the default `ilp` mode instead of erroring.
+impl JobConfig {
+    fn decode(m: &mut serde::Fields) -> Result<JobConfig, serde::DeError> {
         Ok(JobConfig {
-            lp_basis: LpBasis::from_value(field("lp_basis")?)?,
-            lp_pricing: LpPricing::from_value(field("lp_pricing")?)?,
-            overlap_aware: bool::from_value(field("overlap_aware")?)?,
-            detailed_ilp: bool::from_value(field("detailed_ilp")?)?,
-            solve_mode: match v.get("solve_mode") {
-                Some(m) => SolveMode::from_value(m)?,
-                None => SolveMode::Ilp,
-            },
+            lp_basis: m.field("lp_basis")?,
+            lp_pricing: m.field("lp_pricing")?,
+            overlap_aware: m.field("overlap_aware")?,
+            detailed_ilp: m.field("detailed_ilp")?,
+            solve_mode: m.get("solve_mode")?.unwrap_or(SolveMode::Ilp),
         })
     }
 }
+
+crate::protocol::deserialize_fields!(JobConfig);
 
 /// Lifecycle of a job as observed through [`JobQueue::poll`].
 ///
@@ -993,6 +991,16 @@ impl JobQueue {
         // submission as a terminal state.
         {
             let mut shard = self.inner.record_shard(id).state.lock();
+            // Retention removes a record for every one inserted, and the
+            // table gives up a free slot to many of those removals. Out
+            // of free slots while more than half full, it would double
+            // though its size never changed; rebuilt at its live size,
+            // it stays as large as the retention cap needs.
+            if shard.records.capacity() == shard.records.len() {
+                let live = std::mem::take(&mut shard.records);
+                shard.records.reserve(live.len() + 1);
+                shard.records.extend(live);
+            }
             shard.records.insert(
                 id,
                 JobRecord {
@@ -2077,6 +2085,37 @@ mod tests {
         assert!(q.poll(999).is_none());
         assert!(q.outcome(999).is_none());
         assert!(q.poll(0).is_none(), "id 0 is never issued");
+    }
+
+    /// Steady submit-and-prune churn leaves each shard's record table the
+    /// size its retention cap needs: it never doubles for the free slots
+    /// pruning used up.
+    #[test]
+    fn record_tables_keep_their_size_under_churn() {
+        let retain = 100;
+        let q = JobQueue::new(QueueOptions {
+            workers: 1,
+            retain_jobs: retain,
+            ..QueueOptions::default()
+        });
+        let (design, board) = small_instance(5);
+        let first = q.submit(design.clone(), board.clone(), JobConfig::default());
+        q.wait(first.id, Duration::from_secs(60)).unwrap();
+        for _ in 0..40 * retain * RECORD_SHARDS {
+            assert!(
+                q.submit(design.clone(), board.clone(), JobConfig::default())
+                    .cached
+            );
+        }
+        for shard in &q.inner.records {
+            let shard = shard.state.lock();
+            assert_eq!(shard.records.len(), retain);
+            assert!(
+                shard.records.capacity() < 2 * retain,
+                "a table for {retain} records grew to {}",
+                shard.records.capacity()
+            );
+        }
     }
 
     #[test]
