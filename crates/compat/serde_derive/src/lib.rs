@@ -16,9 +16,10 @@
 //! `write_json` writes the same JSON straight to a `serde::JsonWriter`,
 //! its punctuation and keys precomputed as string literals.
 //!
-//! `Deserialize` gets `from_value`, which decodes a tree, and `read_json`,
-//! which reads the same JSON straight from a `serde::JsonReader` with the
-//! same meaning: keys are compared as borrowed slices against the field
+//! `Deserialize` gets `from_value`, which decodes a tree,
+//! `from_owned_value`, which decodes a tree it owns by moving its strings
+//! and subtrees out, and `read_json`, which reads the same JSON straight
+//! from a `serde::JsonReader`, all with the same meaning: keys are compared as borrowed slices against the field
 //! names, unknown members are checked and skipped without building
 //! anything, the first of a repeated key wins (as `Value::get` finds it),
 //! and a missing member is an error even for an `Option` field.
@@ -337,16 +338,122 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             )
         }
     };
+    let owned = owned_body(&item);
     let read = read_json_body(&item);
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
          fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
          {body}\n}}\n\
+         fn from_owned_value(v: ::serde::Value) \
+         -> ::std::result::Result<Self, ::serde::DeError> {{\n{owned}\n}}\n\
          fn read_json(__r: &mut ::serde::JsonReader<'_>) \
          -> ::std::result::Result<Self, ::serde::DeError> {{\n{read}\n}}\n}}\n"
     )
     .parse()
     .expect("generated Deserialize impl parses")
+}
+
+/// The body of the generated `from_owned_value`: what `from_value`
+/// decodes from the tree `v`, with strings and subtrees moved out of it.
+fn owned_body(item: &Item) -> String {
+    let name = &item.name;
+    match &item.shape {
+        Shape::NamedStruct(fields) => format!(
+            "if !matches!(v, ::serde::Value::Object(_)) {{\n\
+                 return Err(::serde::DeError::new(\"expected object for {name}\"));\n\
+             }}\n\
+             Ok({})",
+            owned_named("v", name, fields)
+        ),
+        Shape::TupleStruct(1) => {
+            format!("Ok({name}(::serde::Deserialize::from_owned_value(v)?))")
+        }
+        Shape::TupleStruct(n) => format!("Ok({})", owned_tuple("v", name, *n)),
+        Shape::Enum(variants) => {
+            let unknown = format!(
+                "Err(::serde::DeError::new(format!(\"unknown variant `{{__other}}` for {name}\")))"
+            );
+            let unit_arms: String = variants
+                .iter()
+                .filter(|v| matches!(v.kind, VariantKind::Unit))
+                .map(|v| format!("\"{0}\" => Ok({name}::{0}),\n", v.name))
+                .collect();
+            let data_arms: String = variants
+                .iter()
+                .filter_map(|v| {
+                    let path = format!("{name}::{}", v.name);
+                    let decode = match &v.kind {
+                        VariantKind::Unit => return None,
+                        VariantKind::Tuple(1) => {
+                            format!("{path}(::serde::Deserialize::from_owned_value(__inner)?)")
+                        }
+                        VariantKind::Tuple(k) => owned_tuple("__inner", &path, *k),
+                        VariantKind::Struct(fields) => owned_named("__inner", &path, fields),
+                    };
+                    Some(format!("\"{}\" => Ok({decode}),\n", v.name))
+                })
+                .collect();
+            format!(
+                "match v {{\n\
+                     ::serde::Value::Str(__s) => match __s.as_str() {{\n\
+                         {unit_arms}\
+                         __other => {unknown},\n\
+                     }},\n\
+                     ::serde::Value::Object(mut __pairs) if __pairs.len() == 1 => {{\n\
+                         let (__tag, __inner) = __pairs.pop().expect(\"one pair\");\n\
+                         match __tag.as_str() {{\n\
+                             {data_arms}\
+                             __other => {unknown},\n\
+                         }}\n\
+                     }}\n\
+                     _ => Err(::serde::DeError::new(\"expected string or 1-key object for {name}\")),\n\
+                 }}"
+            )
+        }
+    }
+}
+
+/// An expression moving the members of the tree `src` into
+/// `ctor { .. }`, in declaration order; a member that is absent is an
+/// error, as in `from_value`, and members of a non-object are absent.
+fn owned_named(src: &str, ctor: &str, fields: &[String]) -> String {
+    if fields.is_empty() {
+        return format!("{{\nlet _ = {src};\n{ctor} {{}}\n}}");
+    }
+    let members: String = fields
+        .iter()
+        .map(|f| format!("{f}: __m.field(\"{f}\")?,\n"))
+        .collect();
+    format!(
+        "{{\n\
+         let mut __v = {src};\n\
+         let mut __m = ::serde::Fields::owned(&mut __v);\n\
+         {ctor} {{\n{members}}}\n\
+         }}"
+    )
+}
+
+/// An expression moving the `n` items of the array `src` into
+/// `ctor(..)`; another length is an error, as in `from_value`.
+fn owned_tuple(src: &str, ctor: &str, n: usize) -> String {
+    let reads: Vec<String> = (0..n)
+        .map(|_| {
+            "::serde::Deserialize::from_owned_value(__items.next().expect(\"length checked\"))?"
+                .to_string()
+        })
+        .collect();
+    format!(
+        "{{\n\
+         let mut __items = match {src} {{\n\
+             ::serde::Value::Array(__items) if __items.len() == {n} => __items.into_iter(),\n\
+             ::serde::Value::Array(_) => \
+                 return Err(::serde::DeError::new(\"wrong arity for {ctor}\")),\n\
+             _ => return Err(::serde::DeError::new(\"expected array for {ctor}\")),\n\
+         }};\n\
+         {ctor}({})\n\
+         }}",
+        reads.join(", ")
+    )
 }
 
 /// The body of the generated `read_json`: what `from_value` decodes from
