@@ -18,6 +18,11 @@
 //!   defaults; non-exhaustive structs are only usable via
 //!   `Default`-then-assign, so undocumented defaults are unusable
 //!   defaults.
+//! * **one-codec** — outside `crates/compat/`, no `impl Serialize` or
+//!   `impl Deserialize` defines `to_value` or `from_value`. A type
+//!   writes `write_json` and `read_json` only; the trait serves the
+//!   `Value` tree through that text, so a second, tree-walking codec
+//!   could only drift from it.
 //!
 //! Exceptions live in `lint.allow` at the workspace root, one per
 //! line: `rule:file-suffix:substring` (a finding is suppressed when
@@ -331,6 +336,56 @@ fn check_options_defaults(rel: &str, text: &str, findings: &mut Vec<Finding>) {
     }
 }
 
+/// Rule `one-codec`, applied to one source file: flag `fn to_value` and
+/// `fn from_value` inside the braces of an `impl … Serialize for` or
+/// `impl … Deserialize for` block.
+fn check_one_codec(rel: &str, text: &str, findings: &mut Vec<Finding>) {
+    let mut depth = 0usize;
+    // The depth outside the codec impl being scanned, and whether its
+    // opening brace has been seen yet.
+    let mut codec_impl: Option<(usize, bool)> = None;
+    for (i, line) in text.lines().enumerate() {
+        let code = code_of(line);
+        if codec_impl.is_none()
+            && code.trim_start().starts_with("impl")
+            && (code.contains("Serialize for ") || code.contains("Deserialize for "))
+        {
+            codec_impl = Some((depth, false));
+        }
+        if codec_impl.is_some() {
+            for method in ["fn to_value", "fn from_value"] {
+                if code.contains(method) {
+                    findings.push(Finding {
+                        rule: "one-codec",
+                        file: rel.to_string(),
+                        line: i + 1,
+                        message: format!(
+                            "`{method}` in a codec impl; write `write_json`/`read_json` only, \
+                             the trait serves the tree through the text"
+                        ),
+                        source: line.to_string(),
+                    });
+                }
+            }
+        }
+        for ch in code.chars() {
+            match ch {
+                '{' => {
+                    depth += 1;
+                    if let Some((_, opened)) = &mut codec_impl {
+                        *opened = true;
+                    }
+                }
+                '}' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+        if matches!(codec_impl, Some((outer, true)) if depth <= outer) {
+            codec_impl = None;
+        }
+    }
+}
+
 /// Recursively collect `.rs` files under `dir` (skipping `target/`).
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
@@ -370,9 +425,11 @@ pub fn run(root: &Path) -> io::Result<LintReport> {
     check_verbs("crates/service/src/protocol.rs", &protocol, &mut findings);
 
     let mut files = Vec::new();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        rust_files(&crates, &mut files)?;
+    for dir in ["crates", "src", "tests", "examples"] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            rust_files(&dir, &mut files)?;
+        }
     }
     for path in &files {
         let rel = path
@@ -382,6 +439,9 @@ pub fn run(root: &Path) -> io::Result<LintReport> {
             .replace('\\', "/");
         let text = fs::read_to_string(path)?;
         check_options_defaults(&rel, &text, &mut findings);
+        if !rel.starts_with("crates/compat/") {
+            check_one_codec(&rel, &text, &mut findings);
+        }
         report.files_scanned += 1;
     }
 
@@ -451,6 +511,37 @@ mod tests {
         let bad = "/// Knobs.\n#[non_exhaustive]\npub struct BarOptions { pub a: u32 }\n";
         check_options_defaults("f.rs", bad, &mut findings);
         assert_eq!(findings.len(), 2, "{findings:?}"); // no Default, no documented defaults
+    }
+
+    #[test]
+    fn one_codec_flags_tree_methods_in_codec_impls() {
+        let good = [
+            "impl Serialize for A {",
+            "    fn write_json(&self, out: &mut JsonWriter) {}",
+            "}",
+            "impl A {",
+            "    fn to_value(&self) -> Value { todo!() }",
+            "}",
+        ];
+        let mut findings = Vec::new();
+        check_one_codec("f.rs", &good.join("\n"), &mut findings);
+        assert!(findings.is_empty(), "{findings:?}");
+
+        let bad = [
+            "impl serde::Serialize for A {",
+            "    fn to_value(&self) -> Value { todo!() }",
+            "}",
+            "impl<T> ::serde::Deserialize for B<T>",
+            "where",
+            "    T: Clone,",
+            "{",
+            "    fn from_value(v: &Value) -> R { todo!() }",
+            "}",
+            "fn from_value() {}",
+        ];
+        check_one_codec("f.rs", &bad.join("\n"), &mut findings);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2, 8], "{findings:?}");
     }
 
     #[test]

@@ -650,6 +650,10 @@ the cross-cutting rules the compiler cannot see:
                            fn <verb>_round_trip… test
   options-defaults         every pub #[non_exhaustive] *Options struct
                            has a Default and documents its defaults
+  one-codec                outside crates/compat/, no impl Serialize or
+                           impl Deserialize defines to_value or
+                           from_value; write_json and read_json are
+                           the only codecs
 
 Audited exceptions live in lint.allow at the workspace root, one
 `rule:file-suffix:substring` per line; malformed entries are findings.

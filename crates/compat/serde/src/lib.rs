@@ -2,16 +2,14 @@
 //!
 //! The build container has no crates.io access, so this workspace ships a
 //! minimal serialization framework under the `serde` name. Unlike the real
-//! serde's visitor architecture, [`Serialize`] has two methods:
+//! serde's visitor architecture, each type has one codec per direction:
 //! [`Serialize::write_json`] appends compact JSON straight to a
-//! [`JsonWriter`], which is how every render goes, and
-//! [`Serialize::to_value`] builds an owned JSON-like [`Value`] tree for the
-//! callers that need one (masking, pretty output). [`Deserialize`] mirrors
-//! it: [`Deserialize::read_json`] decodes straight from a [`JsonReader`]
-//! over the text, which is how every parse goes, and
-//! [`Deserialize::from_value`] decodes a [`Value`] tree (with
-//! [`Deserialize::from_owned_value`] for a tree the decoder may take
-//! apart). Only the API surface this workspace uses is provided.
+//! [`JsonWriter`], and [`Deserialize::read_json`] decodes straight from a
+//! [`JsonReader`] over the text. The owned JSON-like [`Value`] tree, for
+//! the callers that need one (masking, pretty output), is served through
+//! that text: [`Serialize::to_value`] parses what `write_json` writes, and
+//! [`Deserialize::from_value`] reads what the tree renders. Only the API
+//! surface this workspace uses is provided.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -22,7 +20,9 @@ pub use serde_derive::{Deserialize, Serialize};
 mod read;
 pub use read::{Fields, JsonReader, MAX_DEPTH};
 
-/// JSON-like data tree all (de)serialization goes through.
+/// JSON-like data tree: what [`JsonReader::value`] parses, and what the
+/// tree methods [`Serialize::to_value`] and [`Deserialize::from_value`]
+/// serve through the text.
 ///
 /// Objects keep insertion order (a plain pair list) so output is stable and
 /// matches struct declaration order.
@@ -273,39 +273,49 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Render `self` as JSON, as a [`Value`] tree or straight to text.
+/// Render `self` as JSON.
 ///
-/// Both methods must describe the same JSON: `write_json` appends exactly
-/// the bytes that rendering `to_value()` with the compact writer gives.
+/// [`Serialize::write_json`] is the one codec an impl writes; the tree
+/// [`Serialize::to_value`] gives is that text parsed, so the two cannot
+/// describe different JSON.
 pub trait Serialize {
-    fn to_value(&self) -> Value;
+    /// Append `self`'s compact JSON to `out`.
+    fn write_json(&self, out: &mut JsonWriter);
 
-    /// Append `self`'s compact JSON to `out`. The default renders
-    /// `to_value()`; impls override it to write without building a tree.
-    fn write_json(&self, out: &mut JsonWriter) {
-        self.to_value().write_json(out);
+    /// `self`'s JSON as a [`Value`] tree: the text `write_json` writes,
+    /// parsed by [`JsonReader::value`].
+    ///
+    /// # Panics
+    ///
+    /// If that text nests deeper than [`MAX_DEPTH`], which the reader
+    /// refuses.
+    fn to_value(&self) -> Value {
+        let mut out = JsonWriter::new();
+        self.write_json(&mut out);
+        JsonReader::new(out.as_str())
+            .value()
+            .expect("write_json writes JSON the reader accepts")
     }
 }
 
-/// Rebuild `Self` from JSON: from text, from a borrowed tree, or from an
-/// owned tree.
+/// Rebuild `Self` from JSON.
 ///
-/// All three must agree: for any text, `read_json` gives what parsing the
-/// text into a tree and calling `from_value` gives, or both fail.
+/// [`Deserialize::read_json`] is the one codec an impl writes;
+/// [`Deserialize::from_value`] renders the tree and reads that text, so
+/// a tree and its text always decode alike.
 pub trait Deserialize: Sized {
-    fn from_value(v: &Value) -> Result<Self, DeError>;
+    /// Read one value of `Self` from `r`.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError>;
 
-    /// Rebuild `Self` from a tree it may take apart, moving strings and
-    /// subtrees out instead of cloning them. The default borrows `v`.
-    fn from_owned_value(v: Value) -> Result<Self, DeError> {
-        Self::from_value(&v)
-    }
-
-    /// Read one value of `Self` straight from `r`. The default parses the
-    /// value into a tree and decodes that, so an impl that does not
-    /// override it stays correct; impls override it to read with no tree.
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        Self::from_owned_value(r.value()?)
+    /// `Self` decoded from the tree `v`: what [`Deserialize::read_json`]
+    /// gives on `v`'s compact text, which must hold nothing else.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let mut text = JsonWriter::new();
+        v.write_json(&mut text);
+        let mut r = JsonReader::new(text.as_str());
+        let out = Self::read_json(&mut r)?;
+        r.end()?;
+        Ok(out)
     }
 }
 
@@ -320,10 +330,6 @@ pub mod de {
 /// trees through without knowing their shape (e.g. a service embedding an
 /// already-rendered solution in a response envelope).
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-
     /// The one compact writer of a tree.
     fn write_json(&self, out: &mut JsonWriter) {
         match self {
@@ -348,146 +354,128 @@ impl Serialize for Value {
             }
         }
     }
+
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
-    }
-
-    fn from_owned_value(v: Value) -> Result<Self, DeError> {
-        Ok(v)
-    }
-
     /// The tree parser.
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
         r.value()
     }
+
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(v.clone())
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         (**self).write_json(out);
     }
+
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+/// The number, bool or `null` `r` is at, as the tree parser reads it,
+/// converted by `conv`. A string or container, or a scalar `conv`
+/// refuses, is the error `expected <what>`.
+fn scalar<T>(
+    r: &mut JsonReader<'_>,
+    what: &str,
+    conv: impl FnOnce(Value) -> Option<T>,
+) -> Result<T, DeError> {
+    let value = match r.peek() {
+        Some(b'{' | b'[' | b'"') => None,
+        _ => Some(r.scalar()?),
+    };
+    value
+        .and_then(conv)
+        .ok_or_else(|| r.err(&format!("expected {what}")))
 }
 
 macro_rules! impl_int {
-    ($($t:ty => $var:ident as $conv:ty, $as:ident, $write:ident);* $(;)?) => {$(
+    ($($t:ty => $wide:ident, $as:ident);* $(;)?) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::$var(*self as $conv)
-            }
-
             fn write_json(&self, out: &mut JsonWriter) {
-                out.$write(*self as $conv);
+                out.$wide(*self as $wide);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let wide = v
-                    .$as()
-                    .ok_or_else(|| DeError::new(concat!("expected ", stringify!($t))))?;
+            /// Any number that is exactly an integer: `7`, `7.0` and
+            /// `7e0` alike.
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+                let wide = scalar(r, stringify!($t), |v| v.$as())?;
                 <$t>::try_from(wide)
-                    .map_err(|_| DeError::new(concat!("integer out of range for ", stringify!($t))))
+                    .map_err(|_| r.err(concat!("integer out of range for ", stringify!($t))))
             }
         }
     )*};
 }
 
 impl_int! {
-    u8 => UInt as u64, as_u64, u64;
-    u16 => UInt as u64, as_u64, u64;
-    u32 => UInt as u64, as_u64, u64;
-    u64 => UInt as u64, as_u64, u64;
-    usize => UInt as u64, as_u64, u64;
-    i8 => Int as i64, as_i64, i64;
-    i16 => Int as i64, as_i64, i64;
-    i32 => Int as i64, as_i64, i64;
-    i64 => Int as i64, as_i64, i64;
-    isize => Int as i64, as_i64, i64;
+    u8 => u64, as_u64;
+    u16 => u64, as_u64;
+    u32 => u64, as_u64;
+    u64 => u64, as_u64;
+    usize => u64, as_u64;
+    i8 => i64, as_i64;
+    i16 => i64, as_i64;
+    i32 => i64, as_i64;
+    i64 => i64, as_i64;
+    isize => i64, as_i64;
 }
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.f64(*self);
     }
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64().ok_or_else(|| DeError::new("expected number"))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        scalar(r, "number", |v| v.as_f64())
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.f64(f64::from(*self));
     }
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64()
-            .map(|f| f as f32)
-            .ok_or_else(|| DeError::new("expected number"))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        f64::read_json(r).map(|f| f as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError::new("expected bool")),
-        }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        scalar(r, "bool", |v| match v {
+            Value::Bool(b) => Some(b),
+            _ => None,
+        })
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.str(self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| DeError::new("expected string"))
-    }
-
-    fn from_owned_value(v: Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s),
-            _ => Err(DeError::new("expected string")),
-        }
-    }
-
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
         string_token(r).map(Cow::into_owned)
     }
@@ -503,86 +491,44 @@ fn string_token<'a>(r: &mut JsonReader<'a>) -> Result<Cow<'a, str>, DeError> {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.str(self);
     }
 }
 
-/// A tree-based framework has no borrowed input to point into, so static
-/// string slices deserialize by leaking. Only used for small catalog
-/// entries (device names); the leak is bounded by input size.
+/// Decoded strings are owned, so static string slices deserialize by
+/// leaking. Only used for small catalog entries (device names); the leak
+/// is bounded by input size.
 impl Deserialize for &'static str {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = v.as_str().ok_or_else(|| DeError::new("expected string"))?;
-        Ok(Box::leak(s.to_owned().into_boxed_str()))
-    }
-
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
         Ok(Box::leak(string_token(r)?.into_owned().into_boxed_str()))
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        single_char(
-            v.as_str()
-                .ok_or_else(|| DeError::new("expected single-char string"))?,
-        )
-    }
-
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        single_char(&string_token(r)?)
-    }
-}
-
-fn single_char(s: &str) -> Result<char, DeError> {
-    let mut chars = s.chars();
-    match (chars.next(), chars.next()) {
-        (Some(c), None) => Ok(c),
-        _ => Err(DeError::new("expected single-char string")),
+        let s = string_token(r)?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(DeError::new("expected single-char string")),
+        }
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.seq(self);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::new("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-
-    fn from_owned_value(v: Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.into_iter().map(T::from_owned_value).collect(),
-            _ => Err(DeError::new("expected array")),
-        }
-    }
-
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
         r.begin_array()?;
         let mut items = Vec::new();
@@ -594,13 +540,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            None => Value::Null,
-            Some(t) => t.to_value(),
-        }
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         match self {
             None => out.raw("null"),
@@ -610,20 +549,6 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-
-    fn from_owned_value(v: Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_owned_value(other).map(Some),
-        }
-    }
-
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
         if r.null() {
             Ok(None)
@@ -634,38 +559,18 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.seq(self);
     }
 }
 
 impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::new("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
         Ok(Vec::read_json(r)?.into_iter().collect())
     }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.raw("{");
         for (i, (k, v)) in self.iter().enumerate() {
@@ -681,16 +586,7 @@ impl<V: Serialize> Serialize for BTreeMap<String, V> {
 }
 
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_object()
-            .ok_or_else(|| DeError::new("expected object"))?
-            .iter()
-            .map(|(k, v)| V::from_value(v).map(|v| (k.clone(), v)))
-            .collect()
-    }
-
-    /// A repeated key keeps its last value, as collecting the tree's
-    /// pairs does.
+    /// A repeated key keeps its last value.
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
         r.begin_object()?;
         let mut map = BTreeMap::new();
@@ -704,10 +600,6 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
 macro_rules! impl_tuple {
     ($(($($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$n.to_value()),+])
-            }
-
             fn write_json(&self, out: &mut JsonWriter) {
                 out.raw("[");
                 $(
@@ -720,16 +612,6 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let items = v.as_array().ok_or_else(|| DeError::new("expected tuple array"))?;
-                let expected = [$($n),+].len();
-                if items.len() != expected {
-                    return Err(DeError::new(format!(
-                        "expected {expected}-tuple, found {} elements", items.len())));
-                }
-                Ok(($($t::from_value(&items[$n])?,)+))
-            }
-
             fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
                 r.begin_array()?;
                 let mut slots = ($(None::<$t>,)+);
@@ -760,27 +642,15 @@ impl_tuple! {
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.seq(self);
     }
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let items: Vec<T> = Vec::from_value(v)?;
-        fixed(items)
-    }
-
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        fixed(Vec::read_json(r)?)
+        let items = Vec::read_json(r)?;
+        <[T; N]>::try_from(items)
+            .map_err(|items| DeError::new(format!("expected {N} elements, found {}", items.len())))
     }
-}
-
-fn fixed<T, const N: usize>(items: Vec<T>) -> Result<[T; N], DeError> {
-    <[T; N]>::try_from(items)
-        .map_err(|items| DeError::new(format!("expected {N} elements, found {}", items.len())))
 }

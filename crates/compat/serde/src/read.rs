@@ -1,6 +1,6 @@
 //! Streaming JSON input: [`JsonReader`], the read-side mirror of
-//! [`JsonWriter`](crate::JsonWriter), and [`Fields`], the member lookup
-//! hand-written decoders share between text and trees.
+//! [`JsonWriter`](crate::JsonWriter), and [`Fields`], the by-name member
+//! lookup through which derived and hand-written decoders read objects.
 
 use std::borrow::Cow;
 
@@ -221,8 +221,8 @@ impl<'a> JsonReader<'a> {
     }
 
     /// One JSON value parsed into a tree: how a [`Value`] reads itself,
-    /// and the default [`Deserialize::read_json`]. A number, bool or
-    /// `null` builds nothing on the heap.
+    /// and how [`Serialize::to_value`](crate::Serialize::to_value) parses
+    /// a rendering. A number, bool or `null` builds nothing on the heap.
     pub fn value(&mut self) -> Result<Value, DeError> {
         match self.peek() {
             Some(b'{') => {
@@ -273,7 +273,8 @@ impl<'a> JsonReader<'a> {
         Ok(())
     }
 
-    fn scalar(&mut self) -> Result<Value, DeError> {
+    /// A number, bool or `null`, which allocate nothing.
+    pub(crate) fn scalar(&mut self) -> Result<Value, DeError> {
         match self.peek() {
             Some(b't') if self.eat_word("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_word("false") => Ok(Value::Bool(false)),
@@ -330,104 +331,61 @@ impl<'a> JsonReader<'a> {
         self.peek();
         let (start, depth) = (self.pos, self.depth);
         self.begin_object()?;
-        let mut fields = Fields(Source::Text {
+        let mut fields = Fields {
             reader: self,
             start,
             depth,
             passed: Vec::new(),
             open: true,
-        });
+        };
         let out = decode(&mut fields)?;
-        if let Source::Text { reader, open, .. } = &mut fields.0 {
-            while *open {
-                match reader.next_key()? {
-                    Some(_) => reader.skip()?,
-                    None => *open = false,
-                }
+        while fields.open {
+            match fields.reader.next_key()? {
+                Some(_) => fields.reader.skip()?,
+                None => fields.open = false,
             }
         }
         Ok(out)
     }
 }
 
-/// One JSON object's members, looked up by name. A hand-written decoder
-/// states its members once, as reads from a `Fields`, and serves all
-/// three ways an object arrives: a borrowed tree
-/// ([`Deserialize::from_value`]), an owned tree whose members move out
-/// ([`Deserialize::from_owned_value`]), and text
-/// ([`Deserialize::read_json`], through [`JsonReader::fields`]).
+/// One JSON object's members, looked up by name: a decoder states its
+/// members once, as reads from a `Fields` that [`JsonReader::fields`]
+/// hands it.
 ///
 /// As with [`Value::get`], the first member of a name is the one read.
-/// Text is read in one pass when members are asked for in wire order;
-/// a member passed over on the way to another is read again from its
-/// offset when asked for later.
-pub struct Fields<'r, 'a>(Source<'r, 'a>);
-
-enum Source<'r, 'a> {
-    Tree(&'r Value),
-    Owned(&'r mut Value),
-    Text {
-        reader: &'r mut JsonReader<'a>,
-        /// Offset of the object's `{`, and the depth outside it.
-        start: usize,
-        depth: usize,
-        /// Members passed over so far: key and value offset.
-        passed: Vec<(Cow<'a, str>, usize)>,
-        /// The object's `}` is not consumed yet.
-        open: bool,
-    },
-}
-
-impl<'r> Fields<'r, 'static> {
-    pub fn tree(v: &'r Value) -> Self {
-        Fields(Source::Tree(v))
-    }
-
-    /// Members of `v` are moved out of it as they are read.
-    pub fn owned(v: &'r mut Value) -> Self {
-        Fields(Source::Owned(v))
-    }
+/// The object is read in one pass when members are asked for in wire
+/// order; a member passed over on the way to another is read again from
+/// its offset when asked for later.
+pub struct Fields<'r, 'a> {
+    reader: &'r mut JsonReader<'a>,
+    /// Offset of the object's `{`, and the depth outside it.
+    start: usize,
+    depth: usize,
+    /// Members passed over so far: key and value offset.
+    passed: Vec<(Cow<'a, str>, usize)>,
+    /// The object's `}` is not consumed yet.
+    open: bool,
 }
 
 impl<'a> Fields<'_, 'a> {
-    /// The member `name`, decoded, or `None` if the object has none. Ask
-    /// for each name at most once: an owned tree gives its member up to
-    /// the first read.
+    /// The member `name`, decoded, or `None` if the object has none.
     pub fn get<T: Deserialize>(&mut self, name: &str) -> Result<Option<T>, DeError> {
-        match &mut self.0 {
-            Source::Tree(v) => v.get(name).map(T::from_value).transpose(),
-            Source::Owned(v) => match v {
-                Value::Object(pairs) => pairs
-                    .iter_mut()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, member)| T::from_owned_value(std::mem::replace(member, Value::Null)))
-                    .transpose(),
-                _ => Ok(None),
-            },
-            Source::Text {
-                reader,
-                depth,
-                passed,
-                open,
-                ..
-            } => {
-                if let Some(&(_, at)) = passed.iter().find(|(k, _)| k == name) {
-                    return T::read_json(&mut JsonReader::at(reader.text, at, *depth + 1))
-                        .map(Some);
+        if let Some(&(_, at)) = self.passed.iter().find(|(k, _)| k == name) {
+            return T::read_json(&mut JsonReader::at(self.reader.text, at, self.depth + 1))
+                .map(Some);
+        }
+        while self.open {
+            match self.reader.next_key()? {
+                Some(key) if key == name => return T::read_json(self.reader).map(Some),
+                Some(key) => {
+                    self.passed.push((key, self.reader.pos));
+                    self.reader.skip()?;
                 }
-                while *open {
-                    match reader.next_key()? {
-                        Some(key) if key == name => return T::read_json(reader).map(Some),
-                        Some(key) => {
-                            passed.push((key, reader.pos));
-                            reader.skip()?;
-                        }
-                        None => *open = false,
-                    }
-                }
-                Ok(None)
+                None => self.open = false,
             }
         }
+        Ok(None)
     }
 
     /// The member `name`; absent is an error.
@@ -441,25 +399,12 @@ impl<'a> Fields<'_, 'a> {
     }
 
     /// The whole object decoded as `T`, for a type that reads the members
-    /// around the ones already asked for (`T` skips those as unknown). In
-    /// an owned tree, members already read are `null` by now.
+    /// around the ones already asked for (`T` skips those as unknown).
     pub fn whole<T: Deserialize>(&mut self) -> Result<T, DeError> {
-        match &mut self.0 {
-            Source::Tree(v) => T::from_value(v),
-            Source::Owned(v) => T::from_value(v),
-            Source::Text {
-                reader,
-                start,
-                depth,
-                open,
-                ..
-            } => {
-                let mut again = JsonReader::at(reader.text, *start, *depth);
-                let out = T::read_json(&mut again)?;
-                **reader = again;
-                *open = false;
-                Ok(out)
-            }
-        }
+        let mut again = JsonReader::at(self.reader.text, self.start, self.depth);
+        let out = T::read_json(&mut again)?;
+        *self.reader = again;
+        self.open = false;
+        Ok(out)
     }
 }

@@ -12,17 +12,16 @@
 //!   `{"Variant": […]}`
 //! * struct enum variants `V { a, b }` → `{"Variant": {"a": …, "b": …}}`
 //!
-//! `Serialize` gets both methods: `to_value` builds the tree, and
-//! `write_json` writes the same JSON straight to a `serde::JsonWriter`,
-//! its punctuation and keys precomputed as string literals.
-//!
-//! `Deserialize` gets `from_value`, which decodes a tree,
-//! `from_owned_value`, which decodes a tree it owns by moving its strings
-//! and subtrees out, and `read_json`, which reads the same JSON straight
-//! from a `serde::JsonReader`, all with the same meaning: keys are compared as borrowed slices against the field
-//! names, unknown members are checked and skipped without building
-//! anything, the first of a repeated key wins (as `Value::get` finds it),
-//! and a missing member is an error even for an `Option` field.
+//! Each derive generates one codec, and the trait provides the tree
+//! methods over it. `Serialize` gets `write_json`, which writes compact
+//! JSON straight to a `serde::JsonWriter`, its punctuation and keys
+//! precomputed as string literals. `Deserialize` gets `read_json`, which
+//! reads straight from a `serde::JsonReader`: objects through
+//! `JsonReader::fields`, so keys are compared as borrowed slices against
+//! the field names, unknown members are checked and skipped without
+//! building anything, the first of a repeated key wins (as `Value::get`
+//! finds it), and a missing member is an error even for an `Option`
+//! field.
 //!
 //! Generics and `#[serde(...)]` attributes are not supported and fail
 //! loudly at expansion time.
@@ -32,80 +31,9 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let pushes: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "pairs.push((\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f})));\n"
-                    )
-                })
-                .collect();
-            format!(
-                "let mut pairs = ::std::vec::Vec::new();\n{pushes}::serde::Value::Object(pairs)"
-            )
-        }
-        Shape::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-        }
-        Shape::Enum(variants) => {
-            let arms: String = variants
-                .iter()
-                .map(|v| match &v.kind {
-                    VariantKind::Unit => format!(
-                        "{}::{} => ::serde::Value::Str(\"{}\".to_string()),\n",
-                        item.name, v.name, v.name
-                    ),
-                    VariantKind::Tuple(1) => format!(
-                        "{n}::{v}(f0) => ::serde::Value::Object(vec![(\"{v}\".to_string(), \
-                         ::serde::Serialize::to_value(f0))]),\n",
-                        n = item.name,
-                        v = v.name
-                    ),
-                    VariantKind::Tuple(k) => {
-                        let binds: Vec<String> = (0..*k).map(|i| format!("f{i}")).collect();
-                        let vals: Vec<String> = (0..*k)
-                            .map(|i| format!("::serde::Serialize::to_value(f{i})"))
-                            .collect();
-                        format!(
-                            "{n}::{v}({b}) => ::serde::Value::Object(vec![(\"{v}\".to_string(), \
-                             ::serde::Value::Array(vec![{vl}]))]),\n",
-                            n = item.name,
-                            v = v.name,
-                            b = binds.join(", "),
-                            vl = vals.join(", ")
-                        )
-                    }
-                    VariantKind::Struct(fields) => {
-                        let binds = fields.join(", ");
-                        let pushes: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!("(\"{f}\".to_string(), ::serde::Serialize::to_value({f}))")
-                            })
-                            .collect();
-                        format!(
-                            "{n}::{v} {{ {binds} }} => ::serde::Value::Object(vec![\
-                             (\"{v}\".to_string(), ::serde::Value::Object(vec![{p}]))]),\n",
-                            n = item.name,
-                            v = v.name,
-                            p = pushes.join(", ")
-                        )
-                    }
-                })
-                .collect();
-            format!("match self {{\n{arms}}}")
-        }
-    };
     let write = write_json_body(&item);
     format!(
         "impl ::serde::Serialize for {} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
          fn write_json(&self, out: &mut ::serde::JsonWriter) {{\n{write}}}\n}}\n",
         item.name
     )
@@ -113,8 +41,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("generated Serialize impl parses")
 }
 
-/// The body of the generated `write_json`: the bytes `to_value` followed
-/// by a compact render would give, with no tree.
+/// The body of the generated `write_json`: the compact JSON of the
+/// shapes listed in the crate doc, with no tree.
 fn write_json_body(item: &Item) -> String {
     let mut w = Writes::default();
     match &item.shape {
@@ -232,120 +160,9 @@ impl Writes {
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
-    let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let reads: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(obj.get(\"{f}\")\
-                         .ok_or_else(|| ::serde::DeError::missing(\"{f}\"))?)?,\n"
-                    )
-                })
-                .collect();
-            format!(
-                "let obj = match v {{\n\
-                     ::serde::Value::Object(_) => v,\n\
-                     _ => return Err(::serde::DeError::new(\"expected object for {name}\")),\n\
-                 }};\n\
-                 Ok({name} {{\n{reads}}})"
-            )
-        }
-        Shape::TupleStruct(1) => {
-            format!("Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Shape::TupleStruct(n) => {
-            let reads: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                .collect();
-            format!(
-                "let items = v.as_array()\
-                 .ok_or_else(|| ::serde::DeError::new(\"expected array for {name}\"))?;\n\
-                 if items.len() != {n} {{\n\
-                     return Err(::serde::DeError::new(\"wrong arity for {name}\"));\n\
-                 }}\n\
-                 Ok({name}({}))",
-                reads.join(", ")
-            )
-        }
-        Shape::Enum(variants) => {
-            let unit_arms: String = variants
-                .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{0}\" => return Ok({name}::{0}),\n", v.name))
-                .collect();
-            let data_arms: String = variants
-                .iter()
-                .filter(|v| !matches!(v.kind, VariantKind::Unit))
-                .map(|v| match &v.kind {
-                    VariantKind::Unit => unreachable!(),
-                    VariantKind::Tuple(1) => format!(
-                        "\"{0}\" => return Ok({name}::{0}(::serde::Deserialize::from_value(inner)?)),\n",
-                        v.name
-                    ),
-                    VariantKind::Tuple(k) => {
-                        let reads: Vec<String> = (0..*k)
-                            .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                            .collect();
-                        format!(
-                            "\"{0}\" => {{\n\
-                                 let items = inner.as_array()\
-                                 .ok_or_else(|| ::serde::DeError::new(\"expected array for {name}::{0}\"))?;\n\
-                                 if items.len() != {k} {{\n\
-                                     return Err(::serde::DeError::new(\"wrong arity for {name}::{0}\"));\n\
-                                 }}\n\
-                                 return Ok({name}::{0}({1}));\n\
-                             }}\n",
-                            v.name,
-                            reads.join(", ")
-                        )
-                    }
-                    VariantKind::Struct(fields) => {
-                        let reads: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(inner.get(\"{f}\")\
-                                     .ok_or_else(|| ::serde::DeError::missing(\"{f}\"))?)?"
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "\"{0}\" => return Ok({name}::{0} {{ {1} }}),\n",
-                            v.name,
-                            reads.join(", ")
-                        )
-                    }
-                })
-                .collect();
-            format!(
-                "match v {{\n\
-                     ::serde::Value::Str(s) => match s.as_str() {{\n\
-                         {unit_arms}\
-                         other => Err(::serde::DeError::new(format!(\
-                             \"unknown variant `{{other}}` for {name}\"))),\n\
-                     }},\n\
-                     ::serde::Value::Object(pairs) if pairs.len() == 1 => {{\n\
-                         let (tag, inner) = &pairs[0];\n\
-                         match tag.as_str() {{\n\
-                             {data_arms}\
-                             other => Err(::serde::DeError::new(format!(\
-                                 \"unknown variant `{{other}}` for {name}\"))),\n\
-                         }}\n\
-                     }}\n\
-                     _ => Err(::serde::DeError::new(\"expected string or 1-key object for {name}\")),\n\
-                 }}"
-            )
-        }
-    };
-    let owned = owned_body(&item);
     let read = read_json_body(&item);
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-         {body}\n}}\n\
-         fn from_owned_value(v: ::serde::Value) \
-         -> ::std::result::Result<Self, ::serde::DeError> {{\n{owned}\n}}\n\
          fn read_json(__r: &mut ::serde::JsonReader<'_>) \
          -> ::std::result::Result<Self, ::serde::DeError> {{\n{read}\n}}\n}}\n"
     )
@@ -353,115 +170,12 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     .expect("generated Deserialize impl parses")
 }
 
-/// The body of the generated `from_owned_value`: what `from_value`
-/// decodes from the tree `v`, with strings and subtrees moved out of it.
-fn owned_body(item: &Item) -> String {
-    let name = &item.name;
-    match &item.shape {
-        Shape::NamedStruct(fields) => format!(
-            "if !matches!(v, ::serde::Value::Object(_)) {{\n\
-                 return Err(::serde::DeError::new(\"expected object for {name}\"));\n\
-             }}\n\
-             Ok({})",
-            owned_named("v", name, fields)
-        ),
-        Shape::TupleStruct(1) => {
-            format!("Ok({name}(::serde::Deserialize::from_owned_value(v)?))")
-        }
-        Shape::TupleStruct(n) => format!("Ok({})", owned_tuple("v", name, *n)),
-        Shape::Enum(variants) => {
-            let unknown = format!(
-                "Err(::serde::DeError::new(format!(\"unknown variant `{{__other}}` for {name}\")))"
-            );
-            let unit_arms: String = variants
-                .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{0}\" => Ok({name}::{0}),\n", v.name))
-                .collect();
-            let data_arms: String = variants
-                .iter()
-                .filter_map(|v| {
-                    let path = format!("{name}::{}", v.name);
-                    let decode = match &v.kind {
-                        VariantKind::Unit => return None,
-                        VariantKind::Tuple(1) => {
-                            format!("{path}(::serde::Deserialize::from_owned_value(__inner)?)")
-                        }
-                        VariantKind::Tuple(k) => owned_tuple("__inner", &path, *k),
-                        VariantKind::Struct(fields) => owned_named("__inner", &path, fields),
-                    };
-                    Some(format!("\"{}\" => Ok({decode}),\n", v.name))
-                })
-                .collect();
-            format!(
-                "match v {{\n\
-                     ::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                         {unit_arms}\
-                         __other => {unknown},\n\
-                     }},\n\
-                     ::serde::Value::Object(mut __pairs) if __pairs.len() == 1 => {{\n\
-                         let (__tag, __inner) = __pairs.pop().expect(\"one pair\");\n\
-                         match __tag.as_str() {{\n\
-                             {data_arms}\
-                             __other => {unknown},\n\
-                         }}\n\
-                     }}\n\
-                     _ => Err(::serde::DeError::new(\"expected string or 1-key object for {name}\")),\n\
-                 }}"
-            )
-        }
-    }
-}
-
-/// An expression moving the members of the tree `src` into
-/// `ctor { .. }`, in declaration order; a member that is absent is an
-/// error, as in `from_value`, and members of a non-object are absent.
-fn owned_named(src: &str, ctor: &str, fields: &[String]) -> String {
-    if fields.is_empty() {
-        return format!("{{\nlet _ = {src};\n{ctor} {{}}\n}}");
-    }
-    let members: String = fields
-        .iter()
-        .map(|f| format!("{f}: __m.field(\"{f}\")?,\n"))
-        .collect();
-    format!(
-        "{{\n\
-         let mut __v = {src};\n\
-         let mut __m = ::serde::Fields::owned(&mut __v);\n\
-         {ctor} {{\n{members}}}\n\
-         }}"
-    )
-}
-
-/// An expression moving the `n` items of the array `src` into
-/// `ctor(..)`; another length is an error, as in `from_value`.
-fn owned_tuple(src: &str, ctor: &str, n: usize) -> String {
-    let reads: Vec<String> = (0..n)
-        .map(|_| {
-            "::serde::Deserialize::from_owned_value(__items.next().expect(\"length checked\"))?"
-                .to_string()
-        })
-        .collect();
-    format!(
-        "{{\n\
-         let mut __items = match {src} {{\n\
-             ::serde::Value::Array(__items) if __items.len() == {n} => __items.into_iter(),\n\
-             ::serde::Value::Array(_) => \
-                 return Err(::serde::DeError::new(\"wrong arity for {ctor}\")),\n\
-             _ => return Err(::serde::DeError::new(\"expected array for {ctor}\")),\n\
-         }};\n\
-         {ctor}({})\n\
-         }}",
-        reads.join(", ")
-    )
-}
-
-/// The body of the generated `read_json`: what `from_value` decodes from
-/// a parsed tree, read from `__r` with no tree.
+/// The body of the generated `read_json`: the shapes `write_json` writes,
+/// read from `__r` with no tree.
 fn read_json_body(item: &Item) -> String {
     let name = &item.name;
     match &item.shape {
-        Shape::NamedStruct(fields) => format!("Ok({})", read_named(name, fields)),
+        Shape::NamedStruct(fields) => read_named(name, fields),
         Shape::TupleStruct(1) => format!("Ok({name}(::serde::Deserialize::read_json(__r)?))"),
         Shape::TupleStruct(n) => {
             format!(
@@ -493,12 +207,7 @@ fn read_json_body(item: &Item) -> String {
                         VariantKind::Tuple(k) => {
                             read_tuple(&path, *k, &format!("wrong arity for {path}"))
                         }
-                        // `from_value` never looks inside a variant with
-                        // no fields, so any value is accepted and skipped.
-                        VariantKind::Struct(fields) if fields.is_empty() => {
-                            format!("{{\n__r.skip()?;\n{path} {{}}\n}}")
-                        }
-                        VariantKind::Struct(fields) => read_named(&path, fields),
+                        VariantKind::Struct(fields) => format!("{}?", read_named(&path, fields)),
                     };
                     Some(format!("\"{}\" => {read},\n", v.name))
                 })
@@ -546,35 +255,14 @@ fn read_json_body(item: &Item) -> String {
 }
 
 /// An expression reading an object of `fields` from `__r` into
-/// `ctor { .. }`.
+/// `Ok(ctor { .. })`, or failing.
 fn read_named(ctor: &str, fields: &[String]) -> String {
-    let slots: String = fields
-        .iter()
-        .map(|f| format!("let mut __f_{f} = ::std::option::Option::None;\n"))
-        .collect();
-    let arms: String = fields
-        .iter()
-        .map(|f| {
-            format!(
-                "\"{f}\" if __f_{f}.is_none() => \
-                 __f_{f} = Some(::serde::Deserialize::read_json(__r)?),\n"
-            )
-        })
-        .collect();
     let members: String = fields
         .iter()
-        .map(|f| format!("{f}: __f_{f}.ok_or_else(|| ::serde::DeError::missing(\"{f}\"))?,\n"))
+        .map(|f| format!("{f}: __m.field(\"{f}\")?,\n"))
         .collect();
-    let members_loop = if fields.is_empty() {
-        "while __r.next_key()?.is_some() {\n__r.skip()?;\n}\n".to_string()
-    } else {
-        format!(
-            "while let Some(__key) = __r.next_key()? {{\n\
-                 match &*__key {{\n{arms}_ => __r.skip()?,\n}}\n\
-             }}\n"
-        )
-    };
-    format!("{{\n__r.begin_object()?;\n{slots}{members_loop}{ctor} {{\n{members}}}\n}}")
+    let m = if fields.is_empty() { "_" } else { "__m" };
+    format!("__r.fields(|{m}| Ok({ctor} {{\n{members}}}))")
 }
 
 /// An expression reading an array of exactly `n` items from `__r` into

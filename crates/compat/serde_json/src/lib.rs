@@ -2,9 +2,10 @@
 //! straight from a typed value through `serde`'s `Serialize::write_json`,
 //! and [`from_str`] reads a typed value straight from the text through
 //! `Deserialize::read_json` over a `serde::JsonReader`, with no tree in
-//! between either way. A [`Value`] target gets the parsed tree itself;
-//! [`from_value`] decodes a tree it owns, moving strings and subtrees out
-//! of it.
+//! between either way. A [`Value`] target gets the parsed tree itself.
+//! The tree paths go through the text: [`to_string_pretty`] indents the
+//! tree that `Serialize::to_value` parses from the compact text, and
+//! [`from_value`] reads the text the tree renders.
 //!
 //! One deliberate deviation from strict JSON: non-finite floats are
 //! written as the bare tokens `Infinity`, `-Infinity`, and `NaN` (strict
@@ -47,10 +48,6 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out.into_string())
 }
 
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.to_value())
-}
-
 /// One `T` read straight from `text`, which must hold nothing else but
 /// whitespace.
 ///
@@ -68,10 +65,9 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     })
 }
 
-/// `T` decoded from a tree it takes apart (see
-/// `Deserialize::from_owned_value`).
+/// `T` decoded from a tree, as `Deserialize::from_value` reads it.
 pub fn from_value<T: Deserialize>(value: Value) -> Result<T, Error> {
-    T::from_owned_value(value).map_err(Error::from)
+    T::from_value(&value).map_err(Error::from)
 }
 
 const INDENT: usize = 2;
@@ -175,6 +171,22 @@ mod tests {
             .unwrap()
             .join()
             .unwrap();
+    }
+
+    #[derive(serde::Deserialize, Debug, PartialEq)]
+    struct Named {
+        a: u32,
+        b: Option<String>,
+    }
+
+    /// Every decode path reads the same codec, so no parity check between
+    /// them can see which of a repeated key is read: pin it here.
+    #[test]
+    fn the_first_of_a_repeated_key_wins() {
+        let text = r#"{"b":null,"a":1,"b":"later","a":"not a number"}"#;
+        let first = Named { a: 1, b: None };
+        assert_eq!(from_str::<Named>(text).unwrap(), first);
+        assert_eq!(from_value::<Named>(parse(text).unwrap()).unwrap(), first);
     }
 
     #[test]

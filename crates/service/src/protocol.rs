@@ -115,14 +115,13 @@
 //! Serialization is hand-written (rather than derived) because the derive
 //! stand-in encodes enums as `{"Variant": …}` envelopes; a wire protocol
 //! wants flat, verb-tagged objects that `nc`/scripting clients can speak.
-//! Each type lists a frame's members once, and both `Serialize` methods
-//! walk that list: `write_json` writes the line with no tree, and
-//! `to_value` builds the same object as a tree. Decoding mirrors it: each
-//! type's `decode` reads its members once from a [`serde::Fields`], which
-//! serves streamed text (`read_json`, no tree), a borrowed tree and an
-//! owned tree alike. The tag (`verb`, `event`, `ok`) comes first in every
-//! frame this crate writes, so a frame reads in one pass; a tag anywhere
-//! else still decodes.
+//! Each type lists a frame's members once, and `write_json` walks that
+//! list to write the line with no tree. Decoding mirrors it: each type's
+//! `decode` reads its members once from a [`serde::Fields`] over the
+//! streamed text (`read_json`, no tree). The `Value` tree methods are the
+//! trait's own, served through that text. The tag (`verb`, `event`,
+//! `ok`) comes first in every frame this crate writes, so a frame reads
+//! in one pass; a tag anywhere else still decodes.
 //!
 //! ## Frame size
 //!
@@ -720,32 +719,40 @@ pub enum ServerFrame {
 impl ServerFrame {
     /// Decode one server line. The two families differ in their tag, and
     /// every in-tree writer puts it first (`event`, or `ok`), so the first
-    /// member picks the decoder and the line is read once, with no tree.
-    /// A line that starts with any other member is parsed into a tree and
-    /// split on whether it has an `event` member anywhere.
+    /// member picks the decoder. A line that starts with any other member
+    /// is an event frame if it has an `event` member anywhere among its
+    /// top-level keys. Either way the line is then read once, with no tree.
     pub fn parse(line: &str) -> Result<ServerFrame, serde_json::Error> {
-        let first = {
-            let mut r = JsonReader::new(line);
-            r.begin_object().and_then(|()| r.next_key()).ok().flatten()
-        };
-        match first.as_deref() {
-            Some("event") => serde_json::from_str(line).map(ServerFrame::Event),
-            Some("ok") => serde_json::from_str(line).map(|r| ServerFrame::Response(Box::new(r))),
-            _ => {
-                let tree: Value = serde_json::from_str(line)?;
-                if tree.get("event").is_some() {
-                    serde_json::from_value(tree).map(ServerFrame::Event)
-                } else {
-                    serde_json::from_value(tree).map(|r| ServerFrame::Response(Box::new(r)))
-                }
-            }
+        if is_event_line(line) {
+            serde_json::from_str(line).map(ServerFrame::Event)
+        } else {
+            serde_json::from_str(line).map(|r| ServerFrame::Response(Box::new(r)))
         }
     }
 }
 
-/// One wire object stated once, in member order: both `Serialize`
-/// methods walk the same list, so the tree and the streamed text cannot
-/// drift apart. `rest`, when set, splices the members of an object-valued
+/// Whether `line` routes to the event decoder: its object's first key is
+/// `event`, or its first key is not `ok` and a later top-level key is
+/// `event`. Text that is malformed before that answer is known routes to
+/// the response decoder, which then reports the error.
+fn is_event_line(line: &str) -> bool {
+    let mut r = JsonReader::new(line);
+    if r.begin_object().is_err() {
+        return false;
+    }
+    let mut first = true;
+    loop {
+        match r.next_key() {
+            Ok(Some(key)) if key == "event" => return true,
+            Ok(Some(key)) if first && key == "ok" => return false,
+            Ok(Some(_)) if r.skip().is_ok() => first = false,
+            _ => return false,
+        }
+    }
+}
+
+/// One wire object stated once, in member order, for `write_json` to
+/// walk. `rest`, when set, splices the members of an object-valued
 /// payload in after the listed ones (how the `stats` verb and event
 /// flatten their counters).
 #[derive(Default)]
@@ -802,24 +809,6 @@ impl<'a> Members<'a> {
 }
 
 impl Serialize for Members<'_> {
-    fn to_value(&self) -> Value {
-        let mut pairs: Vec<(String, Value)> = self
-            .list
-            .iter()
-            .map(|(name, member)| {
-                let value = match member {
-                    Member::Field(v) => v.to_value(),
-                    Member::Token(t) => Value::Str(t.to_string()),
-                };
-                (name.to_string(), value)
-            })
-            .collect();
-        if let Some(Value::Object(rest)) = self.rest.map(Serialize::to_value) {
-            pairs.extend(rest);
-        }
-        Value::Object(pairs)
-    }
-
     fn write_json(&self, out: &mut JsonWriter) {
         out.raw("{");
         for (i, (name, member)) in self.list.iter().enumerate() {
@@ -844,10 +833,6 @@ impl Serialize for Members<'_> {
 macro_rules! serialize_members {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                self.members().to_value()
-            }
-
             fn write_json(&self, out: &mut JsonWriter) {
                 self.members().write_json(out);
             }
@@ -865,20 +850,10 @@ serialize_members!(
 );
 
 /// `Deserialize` for a type with a `decode` that reads its members from
-/// a [`Fields`]: the one list of reads decodes a parsed tree, an owned
-/// tree (moving a `solution` payload out instead of cloning it) and
-/// streamed text alike.
+/// a [`Fields`].
 macro_rules! deserialize_fields {
     ($($t:ty),*) => {$(
         impl ::serde::Deserialize for $t {
-            fn from_value(v: &::serde::Value) -> Result<Self, ::serde::DeError> {
-                Self::decode(&mut ::serde::Fields::tree(v))
-            }
-
-            fn from_owned_value(mut v: ::serde::Value) -> Result<Self, ::serde::DeError> {
-                Self::decode(&mut ::serde::Fields::owned(&mut v))
-            }
-
             fn read_json(r: &mut ::serde::JsonReader<'_>) -> Result<Self, ::serde::DeError> {
                 r.fields(Self::decode)
             }
@@ -1343,8 +1318,9 @@ mod tests {
     use super::*;
     use gmm_design::DesignBuilder;
 
-    /// `write_json` must write exactly what rendering `to_value()` with
-    /// the compact tree writer gives; the tree renderer is the reference.
+    /// `write_json`'s text must survive the trip through its tree:
+    /// parsing it (`to_value()`) and rendering the tree with the compact
+    /// tree writer gives the same bytes.
     fn assert_streams_like_tree<T: Serialize + ?Sized>(value: &T) -> String {
         let mut streamed = JsonWriter::new();
         value.write_json(&mut streamed);
@@ -2152,6 +2128,63 @@ mod tests {
         assert_streams_like_tree(&Pair(u64::MAX, None));
         assert_streams_like_tree(&Pair(0, Some(String::new())));
         assert_streams_like_tree(&Empty {});
+    }
+
+    /// A server line's family is its first member's tag; a line whose
+    /// tag is not first is an event frame if any top-level key is `event`.
+    #[test]
+    fn server_frames_route_on_their_tag() {
+        let event = JobEvent::State {
+            job: 4,
+            state: JobState::Running,
+            termination: None,
+        };
+        let response = Response::PollState {
+            job: 4,
+            state: JobState::Running,
+        };
+        let line =
+            |pairs: &[(String, Value)]| serde_json::to_string(&Value::Object(pairs.to_vec()));
+        let Value::Object(mut event_pairs) = event.to_value() else {
+            panic!("an event is an object");
+        };
+        let Value::Object(mut response_pairs) = response.to_value() else {
+            panic!("a response is an object");
+        };
+        let route =
+            |pairs: &[(String, Value)]| match ServerFrame::parse(&line(pairs).unwrap()).unwrap() {
+                ServerFrame::Event(ev) => Err(ev),
+                ServerFrame::Response(resp) => Ok(*resp),
+            };
+        assert_eq!(route(&event_pairs), Err(event.clone()));
+        event_pairs.rotate_left(1);
+        assert_eq!(route(&event_pairs), Err(event.clone()));
+        // `ok` first wins over a later `event`; anywhere else, `event` wins.
+        response_pairs.push(("event".into(), Value::Str("state".into())));
+        assert_eq!(route(&response_pairs), Ok(response));
+        response_pairs.rotate_left(1);
+        assert_eq!(route(&response_pairs), Err(event));
+    }
+
+    /// The tree methods go through the text, so they meet the reader's
+    /// depth cap: a frame as deep as the reader accepts must still give
+    /// its tree and decode from it.
+    #[test]
+    fn tree_methods_accept_the_deepest_frame() {
+        let frame = |levels: usize| {
+            let solution = "[".repeat(levels) + &"]".repeat(levels);
+            result_frame(7, JobState::Done, true, Some(1.5), Some(&solution), None)
+        };
+        // The frame's own object is one level.
+        let deepest = frame(serde::MAX_DEPTH - 1);
+        assert!(serde_json::from_str::<Response>(&frame(serde::MAX_DEPTH)).is_err());
+        let resp: Response = serde_json::from_str(&deepest).unwrap();
+        let tree = resp.to_value();
+        let back = Response::from_value(&tree).unwrap();
+        let mut rendered = JsonWriter::new();
+        tree.write_json(&mut rendered);
+        assert_eq!(rendered.as_str(), deepest);
+        assert_eq!(render_response(&back), deepest);
     }
 
     #[test]

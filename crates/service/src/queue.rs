@@ -272,20 +272,18 @@ impl JobState {
 }
 
 impl serde::Serialize for JobState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.as_str().to_string())
-    }
-
     fn write_json(&self, out: &mut serde::JsonWriter) {
         out.str(self.as_str());
     }
 }
 
 impl serde::Deserialize for JobState {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        v.as_str().and_then(JobState::from_name).ok_or_else(|| {
-            serde::DeError::new("expected queued|running|done|failed|cancelled|deadline|expired")
-        })
+    fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::DeError> {
+        const EXPECTED: &str = "expected queued|running|done|failed|cancelled|deadline|expired";
+        if r.peek() != Some(b'"') {
+            return Err(serde::DeError::new(EXPECTED));
+        }
+        JobState::from_name(&r.str()?).ok_or_else(|| serde::DeError::new(EXPECTED))
     }
 }
 
