@@ -283,7 +283,9 @@ pub trait Serialize {
     fn write_json(&self, out: &mut JsonWriter);
 
     /// `self`'s JSON as a [`Value`] tree: the text `write_json` writes,
-    /// parsed by [`JsonReader::value`].
+    /// parsed by [`JsonReader::value`]. Numbers take the reader's kinds,
+    /// not the Rust type's: a non-negative signed integer is a
+    /// [`Value::UInt`], a negative one a [`Value::Int`].
     ///
     /// # Panics
     ///
