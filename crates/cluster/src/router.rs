@@ -13,15 +13,19 @@
 //! and rediscover liveness by dialing).
 //!
 //! Each backend link is one TCP connection driven by a *pump* thread:
-//! responses are handed to whichever router thread is mid-round-trip
-//! on that link (requests per link are serialized by a mutex), while
-//! server-push event frames are remapped from backend job ids to
-//! router job ids and pushed straight into the client's outbox. When
-//! the pump sees EOF the backend is declared lost: it leaves the ring,
-//! its in-flight jobs are re-submitted to the keys' new owners, and
-//! the client's event stream continues seamlessly — the outbox's rank
-//! gate squeezes out the replay of `queued`/`running` transitions the
-//! re-submission causes.
+//! responses are handed over as text to whichever router thread is
+//! mid-round-trip on that link (requests per link are serialized by a
+//! mutex), while server-push event frames are remapped from backend job
+//! ids to router job ids and pushed straight into the client's outbox.
+//! The round trip decodes the answers the router inspects; a `result`
+//! answer is relabelled with the router's job id and its payload bytes
+//! copied through, never parsed into a tree. An answer that does not
+//! decode, a `result` for another job and a round trip that times out
+//! each close the link. When the pump sees EOF the backend is declared
+//! lost: it leaves the ring, its in-flight jobs are re-submitted to the
+//! keys' new owners, and the client's event stream continues seamlessly
+//! — the outbox's rank gate squeezes out the replay of
+//! `queued`/`running` transitions the re-submission causes.
 //!
 //! ## Job ids
 //!
@@ -51,8 +55,8 @@ use gmm_api::Termination;
 use gmm_service::events::{writer_loop, Outbox};
 use gmm_service::hash::{instance_key, InstanceKey};
 use gmm_service::protocol::{
-    frame_too_long, read_frame, render_response, AttachSnapshot, FrameRead, JobEvent,
-    ProtoVersions, Request, Response, ServerFrame, ServiceStats, SubmitReceipt, SubmitSpec,
+    frame_too_long, is_event_line, read_frame, relabel_result, render_response, AttachSnapshot,
+    FrameRead, JobEvent, ProtoVersions, Request, Response, ServiceStats, SubmitReceipt, SubmitSpec,
     CAPABILITIES, PROTO_VERSION,
 };
 use gmm_service::queue::JobState;
@@ -298,7 +302,7 @@ struct Conn {
 
 /// One TCP connection to a backend. Requests are serialized by the
 /// channel mutex; the pump thread owns the read half and feeds
-/// responses back through `resp`.
+/// response lines back through `resp`.
 struct Link {
     addr: String,
     alive: AtomicBool,
@@ -310,11 +314,15 @@ struct Link {
 
 struct LinkChannel {
     writer: TcpStream,
-    resp: mpsc::Receiver<Response>,
+    resp: mpsc::Receiver<String>,
 }
 
 impl Link {
-    fn roundtrip(&self, request: &Request) -> Result<Response, String> {
+    /// Send `request` and wait for the answer's line. A round trip that
+    /// times out closes the link, so that a late answer can never be
+    /// taken for the next request's; the pump's EOF then declares the
+    /// backend lost.
+    fn exchange(&self, request: &Request) -> Result<String, String> {
         if !self.alive.load(Ordering::Acquire) {
             return Err(format!("backend {} is down", self.addr));
         }
@@ -327,9 +335,35 @@ impl Link {
             .and_then(|_| chan.writer.flush())
             .map_err(|e| format!("backend {}: {e}", self.addr))?;
         match chan.resp.recv_timeout(LINK_TIMEOUT) {
-            Ok(resp) => Ok(resp),
-            Err(_) => Err(format!("backend {}: no response", self.addr)),
+            Ok(line) => Ok(line),
+            Err(_) => {
+                self.close();
+                Err(format!("backend {}: no response", self.addr))
+            }
         }
+    }
+
+    /// [`Link::exchange`], the answer decoded.
+    fn roundtrip(&self, request: &Request) -> Result<Response, String> {
+        let line = self.exchange(request)?;
+        serde_json::from_str(&line).map_err(|e| self.fault(e))
+    }
+
+    /// `result` for backend job `asked`, relabelled as the answer for
+    /// router job `rid` without parsing its payload ([`relabel_result`]):
+    /// the frame, and the state it reports (`None` for a refusal).
+    fn result(&self, asked: u64, rid: u64) -> Result<(Option<JobState>, String), String> {
+        let line = self.exchange(&Request::Result { job: asked })?;
+        relabel_result(&line, asked, rid).map_err(|e| self.fault(e))
+    }
+
+    /// Close the link over an answer that broke the protocol, so that the
+    /// pump's EOF declares the backend lost at once.
+    fn fault(&self, e: impl std::fmt::Display) -> String {
+        let message = format!("backend {}: bad answer: {e}", self.addr);
+        eprintln!("route: {message}");
+        self.close();
+        message
     }
 
     fn close(&self) {
@@ -407,9 +441,9 @@ fn ensure_link(conn: &Arc<Conn>, addr: &str) -> Result<Arc<Link>, String> {
     Ok(link)
 }
 
-/// Reader thread for one backend link: routes responses to the waiting
-/// round-trip and event frames into the client's outbox. EOF, a read
-/// error or a line longer than
+/// Reader thread for one backend link: hands response lines, undecoded,
+/// to the waiting round-trip and routes event frames into the client's
+/// outbox. EOF, a read error or a line longer than
 /// [`MAX_FRAME_BYTES`](gmm_service::protocol::MAX_FRAME_BYTES) declares
 /// the backend lost, so a backend can never make the router buffer a
 /// line without bound.
@@ -417,21 +451,21 @@ fn pump(
     conn: Arc<Conn>,
     addr: String,
     mut reader: BufReader<TcpStream>,
-    resp: mpsc::Sender<Response>,
+    resp: mpsc::Sender<String>,
 ) {
     let mut buf = Vec::new();
     while let Ok(FrameRead::Line(line)) = read_frame(&mut reader, &mut buf) {
         if line.trim().is_empty() {
             continue;
         }
-        match ServerFrame::parse(line) {
-            Ok(ServerFrame::Event(ev)) => on_backend_event(&conn, &addr, ev),
-            // A dropped receiver means no round-trip is waiting; the
-            // frame is stale (e.g. an answer after its timeout).
-            Ok(ServerFrame::Response(frame)) => {
-                let _ = resp.send(*frame);
+        if is_event_line(line) {
+            if let Ok(ev) = serde_json::from_str(line) {
+                on_backend_event(&conn, &addr, ev);
             }
-            Err(_) => {}
+        } else {
+            // A dropped receiver means no round-trip is waiting; the
+            // frame is stale.
+            let _ = resp.send(line.to_string());
         }
     }
     fail_over(&conn, &addr);
@@ -1110,14 +1144,15 @@ enum JobVerb {
 }
 
 /// Forward a v1-style per-job verb to the owning backend, remapping
-/// ids both ways. Router-served jobs answer locally; ids unknown to
-/// this connection forward statelessly via the id encoding.
-fn forward_job_verb(conn: &Arc<Conn>, rid: u64, verb: JobVerb) -> Response {
+/// ids both ways, and return the answer's frame. Router-served jobs
+/// answer locally; ids unknown to this connection forward statelessly
+/// via the id encoding.
+fn forward_job_verb(conn: &Arc<Conn>, rid: u64, verb: JobVerb) -> String {
     let route = {
         let st = conn.state.lock();
         match st.jobs.get(&rid) {
             Some(r) if r.backend.is_none() => {
-                return match verb {
+                return render_response(&match verb {
                     JobVerb::Poll => Response::PollState {
                         job: rid,
                         state: r.state,
@@ -1134,7 +1169,7 @@ fn forward_job_verb(conn: &Arc<Conn>, rid: u64, verb: JobVerb) -> Response {
                         solution: r.solution.clone(),
                         error: r.error.clone(),
                     },
-                };
+                });
             }
             Some(r) => Some((r.backend.clone().expect("checked above"), r.backend_job)),
             None => None,
@@ -1145,9 +1180,9 @@ fn forward_job_verb(conn: &Arc<Conn>, rid: u64, verb: JobVerb) -> Response {
         None => {
             let (backend_job, idx) = decode(rid);
             if idx >= conn.shared.opts.backends.len() {
-                return Response::Error {
+                return render_response(&Response::Error {
                     message: format!("unknown job {rid}"),
-                };
+                });
             }
             (conn.shared.opts.backends[idx].clone(), backend_job)
         }
@@ -1156,15 +1191,16 @@ fn forward_job_verb(conn: &Arc<Conn>, rid: u64, verb: JobVerb) -> Response {
         Ok(l) => l,
         Err(_) => return recover_job_verb(conn, rid, &addr, verb),
     };
-    let request = match verb {
-        JobVerb::Poll => Request::Poll { job: backend_job },
-        JobVerb::Result => Request::Result { job: backend_job },
-        JobVerb::Cancel => Request::Cancel { job: backend_job },
+    let answer = match verb {
+        JobVerb::Poll => link
+            .roundtrip(&Request::Poll { job: backend_job })
+            .map(|resp| render_response(&remap_job(resp, rid))),
+        JobVerb::Cancel => link
+            .roundtrip(&Request::Cancel { job: backend_job })
+            .map(|resp| render_response(&remap_job(resp, rid))),
+        JobVerb::Result => link.result(backend_job, rid).map(|(_, frame)| frame),
     };
-    match link.roundtrip(&request) {
-        Ok(resp) => remap_job(resp, rid),
-        Err(_) => recover_job_verb(conn, rid, &addr, verb),
-    }
+    answer.unwrap_or_else(|_| recover_job_verb(conn, rid, &addr, verb))
 }
 
 /// A job verb hit a dead backend: declare the loss (re-routing its
@@ -1173,7 +1209,7 @@ fn forward_job_verb(conn: &Arc<Conn>, rid: u64, verb: JobVerb) -> Response {
 /// *completed* solution died with its backend re-solves the retained
 /// spec on the key's new owner — the instance is content-addressed and
 /// the solver deterministic, so the recomputed answer is the answer.
-fn recover_job_verb(conn: &Arc<Conn>, rid: u64, addr: &str, verb: JobVerb) -> Response {
+fn recover_job_verb(conn: &Arc<Conn>, rid: u64, addr: &str, verb: JobVerb) -> String {
     fail_over(conn, addr);
     let snapshot = {
         let st = conn.state.lock();
@@ -1182,9 +1218,9 @@ fn recover_job_verb(conn: &Arc<Conn>, rid: u64, addr: &str, verb: JobVerb) -> Re
             .map(|r| (r.state, r.cached, r.backend.clone()))
     };
     let Some((state, cached, backend)) = snapshot else {
-        return Response::Error {
+        return render_response(&Response::Error {
             message: format!("backend {addr} is down and job {rid} is not known here"),
-        };
+        });
     };
     // The failover pass may already have moved the job to a live
     // backend; if so, just forward there (bounded recursion — each
@@ -1194,12 +1230,14 @@ fn recover_job_verb(conn: &Arc<Conn>, rid: u64, addr: &str, verb: JobVerb) -> Re
             return forward_job_verb(conn, rid, verb);
         }
     }
-    match verb {
+    render_response(&match verb {
         JobVerb::Poll => Response::PollState { job: rid, state },
         JobVerb::Cancel => Response::CancelState { job: rid, state },
-        JobVerb::Result => match resolve_result(conn, rid) {
-            Some(resp) => resp,
-            None => Response::ResultReady {
+        JobVerb::Result => {
+            if let Some(frame) = resolve_result(conn, rid) {
+                return frame;
+            }
+            Response::ResultReady {
                 job: rid,
                 state,
                 cached,
@@ -1208,15 +1246,16 @@ fn recover_job_verb(conn: &Arc<Conn>, rid: u64, addr: &str, verb: JobVerb) -> Re
                 error: Some(format!(
                     "backend {addr} was lost; the solution could not be recovered"
                 )),
-            },
-        },
-    }
+            }
+        }
+    })
 }
 
 /// Recompute a lost result: submit the retained spec to the key's
 /// current owner (no watch — the client already saw the terminal
 /// state) and poll until the solve lands, bounded by [`LINK_TIMEOUT`].
-fn resolve_result(conn: &Arc<Conn>, rid: u64) -> Option<Response> {
+/// Returns the answer's frame.
+fn resolve_result(conn: &Arc<Conn>, rid: u64) -> Option<String> {
     let (spec, key) = {
         let st = conn.state.lock();
         let r = st.jobs.get(&rid)?;
@@ -1263,18 +1302,18 @@ fn resolve_result(conn: &Arc<Conn>, rid: u64) -> Option<Response> {
             }
         }
         while Instant::now() < deadline {
-            match link.roundtrip(&Request::Result { job: bjob }) {
-                Ok(Response::ResultReady { state, .. }) if !state.is_terminal() => {
+            match link.result(bjob, rid) {
+                Ok((Some(state), _)) if !state.is_terminal() => {
                     thread::sleep(Duration::from_millis(25));
                 }
-                Ok(resp @ Response::ResultReady { state, .. }) => {
+                Ok((Some(state), frame)) => {
                     let mut st = conn.state.lock();
                     if let Some(r) = st.jobs.get_mut(&rid) {
                         r.state = state;
                     }
-                    return Some(remap_job(resp, rid));
+                    return Some(frame);
                 }
-                Ok(_) => return None,
+                Ok((None, _)) => return None,
                 Err(_) => {
                     fail_over(conn, &owner);
                     continue 'owners;
@@ -1285,26 +1324,13 @@ fn resolve_result(conn: &Arc<Conn>, rid: u64) -> Option<Response> {
     None
 }
 
-/// Rewrite the job id in a forwarded response back to the router id.
+/// Rewrite the job id in a forwarded `poll` or `cancel` answer back to
+/// the router id (`result` answers are relabelled as text,
+/// [`Link::result`]).
 fn remap_job(resp: Response, rid: u64) -> Response {
     match resp {
         Response::PollState { state, .. } => Response::PollState { job: rid, state },
         Response::CancelState { state, .. } => Response::CancelState { job: rid, state },
-        Response::ResultReady {
-            state,
-            cached,
-            objective,
-            solution,
-            error,
-            ..
-        } => Response::ResultReady {
-            job: rid,
-            state,
-            cached,
-            objective,
-            solution,
-            error,
-        },
         other => other,
     }
 }
@@ -1496,9 +1522,20 @@ fn serve_connection(stream: TcpStream, local: SocketAddr, shared: Arc<RouterShar
                 stats,
             } => handle_attach(&conn, jobs, progress, stats),
             Request::Peek { key } => handle_peek(&conn, &key),
-            Request::Poll { job } => forward_job_verb(&conn, job, JobVerb::Poll),
-            Request::Result { job } => forward_job_verb(&conn, job, JobVerb::Result),
-            Request::Cancel { job } => forward_job_verb(&conn, job, JobVerb::Cancel),
+            // Job verbs answer with their frame already written: a
+            // `result` payload is forwarded as the backend's text.
+            Request::Poll { job } => {
+                outbox.push_response(forward_job_verb(&conn, job, JobVerb::Poll));
+                continue;
+            }
+            Request::Result { job } => {
+                outbox.push_response(forward_job_verb(&conn, job, JobVerb::Result));
+                continue;
+            }
+            Request::Cancel { job } => {
+                outbox.push_response(forward_job_verb(&conn, job, JobVerb::Cancel));
+                continue;
+            }
             Request::Stats => handle_stats(&conn),
             Request::Shutdown => {
                 shutting_down = true;
@@ -1718,6 +1755,111 @@ mod tests {
         let out = session.result(receipts[0].job).unwrap();
         assert_eq!(out.state, JobState::Done);
         assert!(out.objective.is_some());
+        router.request_stop();
+    }
+
+    /// A backend that finishes every job at once, then answers `result`
+    /// with the next job's answer; returns whether the router hung up.
+    fn wrong_job_stub() -> (SocketAddr, thread::JoinHandle<bool>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            loop {
+                line.clear();
+                if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                    return true;
+                }
+                let mut text = match serde_json::from_str::<Request>(&line).unwrap() {
+                    Request::Hello { .. } => render_response(&Response::Welcome {
+                        proto: 2,
+                        capabilities: vec![],
+                    }),
+                    Request::SubmitBatch { jobs, .. } => {
+                        render_response(&Response::BatchSubmitted {
+                            jobs: jobs
+                                .iter()
+                                .map(|s| SubmitReceipt {
+                                    job: 1000,
+                                    state: JobState::Done,
+                                    cached: true,
+                                    key: instance_key(&s.design, &s.board, &s.config).to_hex(),
+                                })
+                                .collect(),
+                        })
+                    }
+                    Request::Result { job } => gmm_service::protocol::result_frame(
+                        job + 1,
+                        JobState::Done,
+                        true,
+                        Some(1.0),
+                        Some(r#"{"other":true}"#),
+                        None,
+                    ),
+                    _ => render_response(&Response::Error {
+                        message: "unexpected verb".into(),
+                    }),
+                };
+                text.push('\n');
+                if writer.write_all(text.as_bytes()).is_err() {
+                    return false;
+                }
+            }
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn a_result_for_another_job_is_refused_and_drops_the_backend() {
+        let (addr, stub) = wrong_job_stub();
+        let router =
+            Router::start("127.0.0.1:0", RouterOptions::new(vec![addr.to_string()])).unwrap();
+        let stream = TcpStream::connect(router.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut send = |req: &Request| {
+            let mut text = serde_json::to_string(req).unwrap();
+            text.push('\n');
+            writer.write_all(text.as_bytes()).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        };
+        let receipt = match serde_json::from_str(&send(&Request::SubmitBatch {
+            jobs: vec![spec(1)],
+            watch: false,
+            progress: false,
+        })) {
+            Ok(Response::BatchSubmitted { jobs }) => jobs[0].clone(),
+            other => panic!("expected a receipt, got {other:?}"),
+        };
+        assert_eq!(receipt.job, encode(1000, 0));
+        let answer = send(&Request::Result { job: receipt.job });
+        assert!(!answer.contains("other"), "another job's payload: {answer}");
+        match serde_json::from_str(&answer) {
+            Ok(Response::ResultReady {
+                job,
+                solution: None,
+                error: Some(error),
+                ..
+            }) => {
+                assert_eq!(job, receipt.job);
+                assert!(error.contains("could not be recovered"), "{error}");
+            }
+            other => panic!("expected a structured failure, got {other:?}"),
+        }
+        assert_eq!(router.reconnects(), 1, "the backend is declared lost");
+        assert!(stub.join().unwrap(), "the router closes the link");
+        assert!(matches!(
+            serde_json::from_str(&send(&Request::Stats)),
+            Ok(Response::Stats(_))
+        ));
         router.request_stop();
     }
 

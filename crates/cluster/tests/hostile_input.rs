@@ -1,17 +1,19 @@
 //! Hostile frames sent to `gmm route` get structured errors, and the
 //! router keeps serving the connection that sent them. A backend that
-//! sends an over-long line is declared lost like one that hangs up.
+//! sends an over-long line, or an answer that does not decode, is
+//! declared lost like one that hangs up.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gmm_cluster::{Router, RouterOptions, ShardMap};
 use gmm_service::{
     instance_key, JobConfig, JobQueue, JobState, MapServer, QueueOptions, Request, Response,
     Session, SubmitReceipt, SubmitSpec, CAPABILITIES, MAX_FRAME_BYTES, PROTO_VERSION,
 };
+use serde::MAX_DEPTH;
 
 #[test]
 fn router_answers_hostile_nesting_with_an_error_and_keeps_serving() {
@@ -189,4 +191,100 @@ fn router_drops_a_backend_that_sends_an_over_long_line() {
         stats.jobs_submitted >= specs.len() as u64,
         "the good backend ran every job: {stats:?}"
     );
+}
+
+/// A backend that negotiates protocol v2 and answers `result` for job 1
+/// with a truncated `solution`, and for job 2 with a frame nested one
+/// level deeper than `MAX_DEPTH`.
+fn start_corrupt_result_backend() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().unwrap();
+                let mut reader = BufReader::new(stream);
+                let mut line = String::new();
+                while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                    let head = r#"{"ok":true,"verb":"result","state":"done","cached":true,"objective":1.0"#;
+                    let mut frame = match serde_json::from_str::<Request>(&line) {
+                        Ok(Request::Hello { .. }) => serde_json::to_string(&Response::Welcome {
+                            proto: PROTO_VERSION,
+                            capabilities: CAPABILITIES.iter().map(|c| c.to_string()).collect(),
+                        })
+                        .unwrap(),
+                        Ok(Request::Result { job: 1 }) => {
+                            format!(r#"{head},"job":1,"solution":{{"corrupt":[1,"#)
+                        }
+                        // The frame's own object is one level, so a
+                        // payload of `MAX_DEPTH` levels is one too many.
+                        Ok(Request::Result { job: 2 }) => format!(
+                            r#"{head},"job":2,"solution":{}{}}}"#,
+                            "[".repeat(MAX_DEPTH),
+                            "]".repeat(MAX_DEPTH)
+                        ),
+                        _ => serde_json::to_string(&Response::Error {
+                            message: "stub".into(),
+                        })
+                        .unwrap(),
+                    };
+                    frame.push('\n');
+                    if writer.write_all(frame.as_bytes()).is_err() {
+                        return;
+                    }
+                    line.clear();
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn router_refuses_a_corrupt_result_from_a_backend_at_once() {
+    let corrupt = start_corrupt_result_backend();
+    let router = Router::start("127.0.0.1:0", RouterOptions::new(vec![corrupt])).unwrap();
+    for backend_job in [1u64, 2] {
+        // A fresh connection dials the backend again. Router ids embed
+        // the backend's index (0) in their low six bits.
+        let stream = TcpStream::connect(router.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut ask = |request: &Request| {
+            let mut frame = serde_json::to_string(request).unwrap();
+            frame.push('\n');
+            writer.write_all(frame.as_bytes()).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        };
+        let started = Instant::now();
+        let line = ask(&Request::Result {
+            job: backend_job * 64,
+        });
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "a corrupt answer took {:?}",
+            started.elapsed()
+        );
+        assert!(
+            !line.contains("corrupt") && !line.contains("[["),
+            "the corrupt bytes reached the client: {line:.200}"
+        );
+        assert!(
+            matches!(serde_json::from_str(&line), Ok(Response::Error { .. })),
+            "expected a structured error, got {line:.200}"
+        );
+        assert!(
+            matches!(
+                serde_json::from_str(&ask(&Request::Stats)),
+                Ok(Response::Stats(_))
+            ),
+            "stats must still answer"
+        );
+    }
 }

@@ -273,6 +273,17 @@ impl<'a> JsonReader<'a> {
         Ok(())
     }
 
+    /// Check and pass over one value, as [`skip`](JsonReader::skip) does,
+    /// and return its text: from its first byte, after any whitespace
+    /// before it, to its last. How a frame carries a payload it copies
+    /// without building it.
+    pub fn raw(&mut self) -> Result<&'a str, DeError> {
+        self.peek();
+        let start = self.pos;
+        self.skip()?;
+        Ok(&self.text[start..self.pos])
+    }
+
     /// A number, bool or `null`, which allocate nothing.
     pub(crate) fn scalar(&mut self) -> Result<Value, DeError> {
         match self.peek() {
@@ -371,13 +382,27 @@ pub struct Fields<'r, 'a> {
 impl<'a> Fields<'_, 'a> {
     /// The member `name`, decoded, or `None` if the object has none.
     pub fn get<T: Deserialize>(&mut self, name: &str) -> Result<Option<T>, DeError> {
+        self.member(name, T::read_json)
+    }
+
+    /// The member `name`'s text, checked as [`JsonReader::raw`] checks
+    /// it, or `None` if the object has none.
+    pub fn raw(&mut self, name: &str) -> Result<Option<&'a str>, DeError> {
+        self.member(name, JsonReader::raw)
+    }
+
+    /// The member `name` read by `read`, or `None` if the object has none.
+    fn member<T>(
+        &mut self,
+        name: &str,
+        read: impl FnOnce(&mut JsonReader<'a>) -> Result<T, DeError>,
+    ) -> Result<Option<T>, DeError> {
         if let Some(&(_, at)) = self.passed.iter().find(|(k, _)| k == name) {
-            return T::read_json(&mut JsonReader::at(self.reader.text, at, self.depth + 1))
-                .map(Some);
+            return read(&mut JsonReader::at(self.reader.text, at, self.depth + 1)).map(Some);
         }
         while self.open {
             match self.reader.next_key()? {
-                Some(key) if key == name => return T::read_json(self.reader).map(Some),
+                Some(key) if key == name => return read(self.reader).map(Some),
                 Some(key) => {
                     self.passed.push((key, self.reader.pos));
                     self.reader.skip()?;
@@ -406,5 +431,59 @@ impl<'a> Fields<'_, 'a> {
         *self.reader = again;
         self.open = false;
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn raw_is_the_value_text_without_leading_whitespace() {
+        let text = " \t\n{\"a\" : [1, \"x\\\"y\"], \"b\":null} ,";
+        let mut r = JsonReader::new(text);
+        assert_eq!(r.raw().unwrap(), r#"{"a" : [1, "x\"y"], "b":null}"#);
+        assert_eq!(r.peek(), Some(b','));
+        for scalar in ["-1.5e3", "true", "null", "\"\"", "NaN", "-Infinity"] {
+            let padded = format!("  {scalar}  ");
+            assert_eq!(JsonReader::new(&padded).raw().unwrap(), scalar);
+        }
+    }
+
+    #[test]
+    fn raw_refuses_malformed_text() {
+        for bad in [
+            "", "{", "[1,", "[1 2]", "{\"a\"}", "{\"a\":}", "\"open", "\"\\q\"", "tru", "-",
+        ] {
+            assert!(JsonReader::new(bad).raw().is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn raw_refuses_one_level_past_max_depth() {
+        let nest = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        let deepest = nest(MAX_DEPTH);
+        assert_eq!(JsonReader::new(&deepest).raw().unwrap(), deepest);
+        let err = JsonReader::new(&nest(MAX_DEPTH + 1)).raw().unwrap_err();
+        assert!(err.0.contains("nesting deeper than"), "{err:?}");
+        // Inside an object the member's own levels count from the object's.
+        let member = format!("{{\"s\":{}}}", nest(MAX_DEPTH - 1));
+        let mut r = JsonReader::new(&member);
+        let found = r.fields(|m| m.raw("s")).unwrap();
+        assert_eq!(found, Some(nest(MAX_DEPTH - 1).as_str()));
+        let member = format!("{{\"s\":{}}}", nest(MAX_DEPTH));
+        assert!(JsonReader::new(&member).fields(|m| m.raw("s")).is_err());
+    }
+
+    #[test]
+    fn a_raw_member_is_the_first_of_its_name_in_any_order() {
+        let text = r#"{"b":2,"s":{"k":[1]},"a":1,"s":"later"}"#;
+        let mut r = JsonReader::new(text);
+        let (a, s, b) = r
+            .fields(|m| Ok((m.field::<u32>("a")?, m.raw("s")?, m.raw("b")?)))
+            .unwrap();
+        assert_eq!((a, s, b), (1, Some(r#"{"k":[1]}"#), Some("2")));
+        let mut r = JsonReader::new(text);
+        assert_eq!(r.fields(|m| m.raw("none")).unwrap(), None);
     }
 }

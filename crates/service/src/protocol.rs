@@ -107,10 +107,13 @@
 //! The `solution` field of a `result` (and a `peek` hit) embeds the cached
 //! canonical JSON verbatim: [`result_frame`] and [`peek_frame`] copy the
 //! cache entry's stored bytes into the frame without parsing them. The
-//! deterministic writer renders a parsed payload back to the same bytes,
-//! so the frame is exactly what rendering the parsed tree would give, and
-//! a client that re-renders the tree recovers the cache's bytes — which is
-//! what the byte-identity acceptance check compares.
+//! router forwards a backend's `result` answer the same way:
+//! [`relabel_result`] checks the payload's text and copies it into a frame
+//! for the router's job id, building no tree. The deterministic writer
+//! renders a parsed payload back to the same bytes, so the frame is
+//! exactly what rendering the parsed tree would give, and a client that
+//! re-renders the tree recovers the cache's bytes — which is what the
+//! byte-identity acceptance check compares.
 //!
 //! Serialization is hand-written (rather than derived) because the derive
 //! stand-in encodes enums as `{"Variant": …}` envelopes; a wire protocol
@@ -682,6 +685,63 @@ pub fn result_frame(
     line.into_string()
 }
 
+/// Relabel a backend's answer to `{"verb":"result","job":asked}` as the
+/// answer for job `job`, copying its `solution` into the new frame as
+/// text: how the router forwards a `result` without building the
+/// payload's tree.
+///
+/// The other members are read as [`Response`]'s decoder reads them, and
+/// [`result_frame`] writes the frame, so its bytes equal decoding the
+/// answer, changing its job id and rendering it (pinned by a test) for
+/// any payload the daemon sends, which is canonical. The payload is
+/// checked as it is copied, under the same [`MAX_DEPTH`](serde::MAX_DEPTH)
+/// bound. A refusal (`ok:false`) is decoded and rendered as it is.
+///
+/// Returns the frame and the state the answer reports, `None` for a
+/// refusal. An answer that does not decode, that answers another verb,
+/// or that names a job other than `asked` is an error: the backend broke
+/// the protocol.
+pub fn relabel_result(
+    line: &str,
+    asked: u64,
+    job: u64,
+) -> Result<(Option<JobState>, String), DeError> {
+    let mut r = JsonReader::new(line);
+    let relabelled = r.fields(|m| {
+        if !m.field::<bool>("ok")? {
+            return Ok(None);
+        }
+        let verb: String = m.field("verb")?;
+        if verb != "result" {
+            return Err(DeError::new(format!("a `{verb}` answer to `result`")));
+        }
+        let answered: u64 = m.field("job")?;
+        if answered != asked {
+            return Err(DeError::new(format!(
+                "the answer names job {answered}, not job {asked}"
+            )));
+        }
+        let state: JobState = m.field("state")?;
+        let frame = result_frame(
+            job,
+            state,
+            m.field("cached")?,
+            m.opt_field("objective")?,
+            m.raw("solution")?,
+            m.opt_field::<String>("error")?.as_deref(),
+        );
+        Ok(Some((state, frame)))
+    })?;
+    r.end()?;
+    match relabelled {
+        Some((state, frame)) => Ok((Some(state), frame)),
+        None => Ok((
+            None,
+            render_response(&Response::read_json(&mut JsonReader::new(line))?),
+        )),
+    }
+}
+
 /// Render a `peek` response line (no trailing newline), copying
 /// `solution` into it verbatim; the `peek` counterpart of
 /// [`result_frame`], with the same guarantee.
@@ -735,7 +795,7 @@ impl ServerFrame {
 /// `event`, or its first key is not `ok` and a later top-level key is
 /// `event`. Text that is malformed before that answer is known routes to
 /// the response decoder, which then reports the error.
-fn is_event_line(line: &str) -> bool {
+pub fn is_event_line(line: &str) -> bool {
     let mut r = JsonReader::new(line);
     if r.begin_object().is_err() {
         return false;
@@ -1995,6 +2055,115 @@ mod tests {
                 assert_eq!(render_response(&resp), expected);
             }
         }
+    }
+
+    /// The router's old `result` forward: decode the whole answer, put the
+    /// router's id in, render the tree.
+    fn relabelled_through_the_tree(line: &str, job: u64) -> String {
+        match serde_json::from_str::<Response>(line).unwrap() {
+            Response::ResultReady {
+                state,
+                cached,
+                objective,
+                solution,
+                error,
+                ..
+            } => render_response(&Response::ResultReady {
+                job,
+                state,
+                cached,
+                objective,
+                solution,
+                error,
+            }),
+            other => render_response(&other),
+        }
+    }
+
+    #[test]
+    fn relabelled_results_match_the_tree_path_byte_for_byte() {
+        let mut payloads: Vec<Option<String>> = vec![None];
+        payloads.extend(payload_fixtures().into_iter().map(Some));
+        let mut answers = Vec::new();
+        for payload in &payloads {
+            for objective in [None, Some(42.0), Some(-0.5), Some(1e-7)] {
+                for error in [None, Some("job 3 \"failed\"\nbadly\t\u{1} é")] {
+                    for state in [JobState::Done, JobState::Running, JobState::Failed] {
+                        for cached in [false, true] {
+                            answers.push(result_frame(
+                                12,
+                                state,
+                                cached,
+                                objective,
+                                payload.as_deref(),
+                                error,
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        // Members out of order, repeated or unknown, and refusals, which
+        // forward as decoded.
+        answers.extend(
+            [
+                r#"{"ok":true,"verb":"result","job":12,"state":"done","cached":true,"objective":null,"solution":null,"error":null}"#,
+                r#"{"ok":true,"verb":"result","job":12,"state":"done","cached":false}"#,
+                r#"{ "ok": true, "verb": "result", "job": 12, "state": "done", "cached": true, "solution": [1,2] }"#,
+                r#"{"solution":{"a":[1,2]},"error":"x","job":12,"verb":"result","ok":true,"cached":true,"state":"done","objective":3.5}"#,
+                r#"{"ok":true,"verb":"result","job":12,"state":"done","cached":true,"solution":[true],"solution":"later","extra":{"k":1}}"#,
+                r#"{"ok":false,"error":"unknown job 12"}"#,
+                r#"{"ok":false,"kind":"overloaded","error":"busy","inflight":1,"max_inflight":1,"retry_after_ms":5}"#,
+            ]
+            .map(str::to_string),
+        );
+        for line in &answers {
+            let (state, frame) = relabel_result(line, 12, 4242).unwrap();
+            assert_eq!(frame, relabelled_through_the_tree(line, 4242), "{line}");
+            let decoded = serde_json::from_str::<Response>(line).unwrap();
+            match decoded {
+                Response::ResultReady { state: s, .. } => assert_eq!(state, Some(s)),
+                _ => assert_eq!(state, None),
+            }
+        }
+    }
+
+    #[test]
+    fn a_result_for_another_job_or_verb_is_refused() {
+        let frame = result_frame(12, JobState::Done, true, Some(1.0), Some("{}"), None);
+        assert!(relabel_result(&frame, 12, 99).is_ok());
+        let err = relabel_result(&frame, 13, 99).unwrap_err();
+        assert!(err.0.contains("names job 12, not job 13"), "{err:?}");
+        let poll = render_response(&Response::PollState {
+            job: 12,
+            state: JobState::Done,
+        });
+        assert!(relabel_result(&poll, 12, 99).is_err());
+        let deep = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        for bad in [
+            frame[..frame.len() - 3].to_string(),
+            format!("{frame} x"),
+            result_frame(12, JobState::Done, true, None, Some("{\"a\":[1,"), None),
+            result_frame(
+                12,
+                JobState::Done,
+                true,
+                None,
+                Some(&deep(serde::MAX_DEPTH)),
+                None,
+            ),
+        ] {
+            assert!(relabel_result(&bad, 12, 99).is_err(), "{bad}");
+        }
+        let deepest = result_frame(
+            12,
+            JobState::Done,
+            true,
+            None,
+            Some(&deep(serde::MAX_DEPTH - 1)),
+            None,
+        );
+        assert!(relabel_result(&deepest, 12, 99).is_ok());
     }
 
     /// Every shape the derive supports, for the writer parity test.
